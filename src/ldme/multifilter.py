@@ -17,9 +17,6 @@ import numpy as np
 from .config import RunConfig
 from .wdata import PointSet, WeightFn, project, weighted_variance
 
-TINEQ_RETRY_SLACK = 1e-9
-
-
 class DegenerateDownweight(RuntimeError):
     """Raised when every supported point already sits inside the interval."""
 
@@ -184,170 +181,86 @@ def soft_downweight(projections: np.ndarray, w: WeightFn, interval: Interval) ->
     return WeightFn(w.weights * factors)
 
 
-def _split_conditions(
-    g1: float, g2: float, rsup_sq_gap: float, l48: float, tineq_slack: float
-) -> bool:
-    """Feasibility of one boundary box.
-
-    g1/g2 are the weight fractions lost strictly below / strictly above the
-    cuts; rsup_sq_gap is the full gap between the extreme compatible cuts
-    (twice the supremum half-overlap).
-    """
-    if rsup_sq_gap <= 0.0:
-        return False
-    gmin = g1 if g1 <= g2 else g2
-    if gmin <= 0.0:
-        return False
-    rsup = 0.5 * rsup_sq_gap
-    if not gmin > l48 / (rsup * rsup):
-        return False
-    return (1.0 - g1) ** 2 + (1.0 - g2) ** 2 <= 1.0 + tineq_slack
-
-
 def find_split(
-    projections: np.ndarray,
-    w: WeightFn,
-    alpha: float,
-    tineq_slack: float = 0.0,
+    projections: np.ndarray, w: WeightFn, alpha: float
 ) -> SplitParams | None:
-    """Search for a feasible overlapping split (t, R).
+    """Return the most balanced feasible overlapping split (t, R), or None.
 
     A split is feasible when the two halves, kept-right = {x >= t - R} and
     kept-left = {x < t + R}, satisfy both
         w(right)^2 + w(left)^2 <= w(T)^2            (squared-mass condition)
         min of the two lost fractions >= 48*lg(2/alpha) / R^2
-    The search runs over boundary guesses at supported sample values: for
-    each guess of the smallest value kept on the right (or the largest kept
-    on the left), the extreme compatible counterpart is located by binary
-    search on sorted prefix weights, O(n log n) total. Returns the first
-    feasible candidate in ascending boundary order, or None.
+    and the most balanced is the one with the smallest squared-mass sum.
+
+    Over the sorted supported values u, the lower cut t - R in (u[i], u[i+1]]
+    loses the fraction g1[i] below it and the upper cut t + R in
+    (u[j], u[j+1]] loses g2[j] above it. Each cut keeps a clearance of
+    min(gap/4, 1e-9 * (|x| + 1)) from the sample values around it, well above
+    the noise of rebuilding t - R and t + R from (t, R). So the lower cut
+    lies in [lo[i], top[i]] = [u[i] + clearance, u[i+1] - clearance], and
+    the upper cut is put at the highest usable hi[j] = u[j+1] - clearance,
+    which leaves R the most room. Both lo and hi increase, g1 rises with i,
+    g2 falls with j, and the squared-mass sum (1 - g1)^2 + (1 - g2)^2 falls
+    with i and rises with j. When g1[i] is the smaller lost fraction it
+    fixes the least usable R, so the best partner of i is the smallest j
+    whose hi[j] clears lo[i] by 2R; symmetrically, when g2[j] is smaller,
+    the best partner of j is the largest i. One binary search per family
+    therefore yields a candidate set that contains an optimal split,
+    O(n log n) in total.
     """
     p = _check_inputs(projections, w, alpha)
     supported = w.weights > 0.0
-    vals = p[supported]
-    wts = w.weights[supported]
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    wts = wts[order]
-    u, starts = np.unique(vals, return_index=True)
-    m = len(u)
-    if m < 2:
+    order = np.argsort(p[supported], kind="stable")
+    u, starts = np.unique(p[supported][order], return_index=True)
+    if len(u) < 2:
         return None
-    agg = np.add.reduceat(wts, starts)
-    prefix = np.cumsum(agg)
+    prefix = np.cumsum(np.add.reduceat(w.weights[supported][order], starts))
     total = float(prefix[-1])
-
     l48 = 48.0 * np.log2(2.0 / alpha)
-    # For box (i, j): the lower cut lies in (u[i], u[i+1]] and the upper cut
-    # in (u[j], u[j+1]]; the lost fractions are constant on the box.
-    g1 = prefix[:-1] / total  # lost below, indexed by i = 0..m-2
-    g2 = (total - prefix[:-1]) / total  # lost above, indexed by j = 0..m-2
+    g1 = prefix[:-1] / total
+    g2 = (total - prefix[:-1]) / total
 
-    idx = np.arange(m - 1)
+    gap = np.diff(u)
+    mag_lo = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
+    clear_lo = np.minimum(0.25 * gap, 1e-9 * (mag_lo + 1.0))
+    lo = u[:-1] + clear_lo
+    hi = u[1:] - np.minimum(0.25 * gap, 1e-9 * (np.abs(u[1:]) + 1.0))
 
-    def candidates_ok(i_arr: np.ndarray, j_arr: np.ndarray) -> np.ndarray:
-        valid = (j_arr >= 0) & (j_arr <= m - 2)
-        jj = np.clip(j_arr, 0, m - 2)
-        gap = u[jj + 1] - u[i_arr]
-        gg1 = g1[i_arr]
-        gg2 = g2[jj]
-        gmin = np.minimum(gg1, gg2)
-        rsup = 0.5 * gap
-        with np.errstate(divide="ignore", invalid="ignore"):
-            min_ok = (rsup > 0.0) & (gmin > 0.0) & (gmin > l48 / (rsup * rsup))
-        tineq_ok = (1.0 - gg1) ** 2 + (1.0 - gg2) ** 2 <= 1.0 + tineq_slack
-        return valid & min_ok & tineq_ok
-
-    # Guess the right-half boundary a = u[i+1]; the smaller lost fraction is
-    # then g1[i], which pins the minimal half-overlap and hence, by binary
-    # search, the smallest compatible left-half boundary.
-    with np.errstate(divide="ignore"):
-        gap_a = 2.0 * np.sqrt(l48 / g1)
-    ks = np.searchsorted(u, u[:-1] + gap_a, side="right")
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for dj in (-2, -1, 0):
-        pairs.append((idx, ks + dj))
-
-    # Symmetric pass guessing the left-half boundary b = u[j].
-    with np.errstate(divide="ignore"):
-        gap_b = 2.0 * np.sqrt(l48 / g2)
-    ks_b = np.searchsorted(u, u[1:] - gap_b, side="left") - 1
-    for di in (0, 1, -1):
-        pairs.append((np.clip(ks_b + di, 0, m - 2), idx))
-
-    # Among the feasible candidates prefer the most balanced one (smallest
-    # squared-mass sum of the children), which keeps the search tree small.
-    best: tuple[float, int, int, int] | None = None
-    for rank, (i_arr, j_arr) in enumerate(pairs):
-        ok = candidates_ok(i_arr, j_arr)
-        if not ok.any():
-            continue
-        jj = np.clip(j_arr, 0, m - 2)
-        score = np.where(ok, (1.0 - g1[i_arr]) ** 2 + (1.0 - g2[jj]) ** 2, np.inf)
-        flat = int(np.argmin(score))
-        key = (float(score[flat]), rank, int(i_arr[flat]), int(jj[flat]))
-        if best is None or key < best:
-            best = key
-    if best is not None:
-        sp = _build_split(best[2], best[3], u, g1, g2, l48)
-        if sp is not None and _split_holds(p, w.weights, w.total, sp, l48, tineq_slack):
-            return sp
-        # Construction is proven to succeed on feasible boxes; as a float
-        # safety net fall back to scanning every feasible candidate.
-        for i_arr, j_arr in pairs:
-            ok = candidates_ok(i_arr, j_arr)
-            jj = np.clip(j_arr, 0, m - 2)
-            for flat in np.flatnonzero(ok):
-                sp = _build_split(int(i_arr[flat]), int(jj[flat]), u, g1, g2, l48)
-                if sp is not None and _split_holds(
-                    p, w.weights, w.total, sp, l48, tineq_slack
-                ):
-                    return sp
-    return None
-
-
-def _safety_margin(gap: float, magnitude: float) -> float:
-    """Clearance keeping a cut away from sample values, well above the noise
-    of reconstructing t-R and t+R from (t, R)."""
-    return min(0.25 * gap, 1e-9 * (magnitude + 1.0))
-
-
-def _build_split(
-    i: int, j: int, u: np.ndarray, g1: np.ndarray, g2: np.ndarray, l48: float
-) -> SplitParams | None:
-    """Pick a concrete (t, R) strictly inside a feasible boundary box.
-
-    Both cuts are kept a safe margin away from the nearest sample values so
-    that membership is stable under float round-trips of t +- R.
-    """
-    gmin = min(g1[i], g2[j])
-    lo_prev, lo_next = float(u[i]), float(u[i + 1])
-    hi_prev, hi_next = float(u[j]), float(u[j + 1])
-    c_hi = hi_next - _safety_margin(hi_next - hi_prev, abs(hi_next))
-    eta_lo = _safety_margin(lo_next - lo_prev, max(abs(lo_prev), abs(lo_next)))
-    r_needed = float(np.sqrt(l48 / gmin))
-    r_lo = max(r_needed, 0.5 * (c_hi - (lo_next - eta_lo)))
-    r_hi = 0.5 * (c_hi - (lo_prev + eta_lo))
-    if not r_lo < r_hi:
+    idx = np.arange(len(gap))
+    best_score, sp = np.inf, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j_of_i = np.searchsorted(hi, lo + 2.0 * np.sqrt(l48 / g1), side="right")
+        i_of_j = np.searchsorted(lo, hi - 2.0 * np.sqrt(l48 / g2), side="left") - 1
+        # One family at a time keeps the temporaries at n entries, not 2n.
+        for i, j in ((idx, j_of_i), (i_of_j, idx)):
+            keep = (i >= 0) & (j < len(gap))
+            i, j = i[keep], j[keep]
+            score = (1.0 - g1[i]) ** 2 + (1.0 - g2[j]) ** 2
+            keep = score <= 1.0
+            i, j, score = i[keep], j[keep], score[keep]
+            gmin = np.minimum(g1[i], g2[j])
+            top = u[i + 1] - clear_lo[i]  # highest usable lower cut in box i
+            r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - top))
+            r_hi = 0.5 * (hi[j] - lo[i])
+            R = 0.5 * (r_lo + r_hi)
+            ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
+            if ok.any():
+                k = int(np.argmin(np.where(ok, score, np.inf)))
+                if score[k] < best_score:
+                    best_score = score[k]
+                    sp = SplitParams(t=float(hi[j[k]] - R[k]), R=float(R[k]))
+    if sp is None or not _split_holds(p, w.weights, w.total, sp, l48):
         return None
-    R = 0.5 * (r_lo + r_hi)
-    if not (R > 0.0 and gmin >= l48 / (R * R)):
-        return None
-    return SplitParams(t=c_hi - R, R=R)
+    return sp
 
 
 def _split_holds(
-    proj: np.ndarray,
-    weights: np.ndarray,
-    total: float,
-    sp: SplitParams,
-    l48: float,
-    tineq_slack: float,
+    proj: np.ndarray, weights: np.ndarray, total: float, sp: SplitParams, l48: float
 ) -> bool:
     """Re-check both conditions on the realized halves of a candidate."""
     w1 = float(weights[proj >= sp.t - sp.R].sum())
     w2 = float(weights[proj < sp.t + sp.R].sum())
-    if not w1 * w1 + w2 * w2 <= total * total * (1.0 + tineq_slack):
+    if not w1 * w1 + w2 * w2 <= total * total:
         return False
     return min(1.0 - w1 / total, 1.0 - w2 / total) >= l48 / (sp.R * sp.R)
 
@@ -368,11 +281,10 @@ def basic_multifilter(
 
     Raises:
         InfeasibleSplit: the variance gate tripped but no feasible split
-            exists, even after retrying with a relative slack of 1e-9 on
-            the squared-mass condition. This can happen when big_c sits
-            below the constant the feasibility argument needs and the data
-            has groups at just-the-wrong separations; the branch must be
-            aborted rather than silently degrade the guarantees.
+            exists. This can happen when big_c sits below the constant the
+            feasibility argument needs and the data has groups at
+            just-the-wrong separations; the branch must be aborted rather
+            than silently degrade the guarantees.
     """
     proj = project(ps, v)
     if w.total <= 0.0:
@@ -385,8 +297,6 @@ def basic_multifilter(
             return MultifilterOutcome.certified()
         return MultifilterOutcome.reweighted(soft_downweight(proj, w, interval))
     sp = find_split(proj, w, alpha)
-    if sp is None:
-        sp = find_split(proj, w, alpha, tineq_slack=TINEQ_RETRY_SLACK)
     if sp is None:
         raise InfeasibleSplit(
             "no feasible split at a point where one is required",

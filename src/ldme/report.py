@@ -12,6 +12,7 @@ from .driver import HypothesisList, TraceEvent
 
 TRACE_COLUMNS = (
     "branch_id",
+    "parent_id",
     "depth",
     "tag",
     "lambda_star",
@@ -52,6 +53,7 @@ def write_trace_csv(path, events: list[TraceEvent]) -> None:
             writer.writerow(
                 [
                     ev.branch_id,
+                    ev.parent_id,
                     ev.depth,
                     ev.tag,
                     repr(ev.lambda_star),

@@ -123,6 +123,45 @@ def split_feasible_bruteforce(projections, weights, alpha, slack=0.0) -> bool:
     return False
 
 
+def split_best_score_bruteforce(projections, weights, alpha) -> float | None:
+    """Smallest squared-mass sum (1 - g1)^2 + (1 - g2)^2 over feasible splits
+    whose cuts keep their clearance from the sample values, or None.
+
+    The lower cut lies between consecutive supported values u[i] < u[i+1]
+    and loses the weight fraction g1 at or below u[i]; the upper cut lies
+    between u[j] < u[j+1] and loses g2 above u[j]. A cut stays
+    min(gap/4, 1e-9 * (|x| + 1)) away from the two values around it, where
+    gap is their distance and |x| is the larger of their magnitudes for the
+    lower cut and |u[j+1]| for the upper cut. The largest usable half-overlap
+    is half the distance between the lowest lower cut and the highest upper
+    cut; the pair is feasible when the loss condition holds strictly below
+    it and the squared-mass sum is at most 1.
+    """
+    proj = np.asarray(projections, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    sup = wts > 0.0
+    u = [float(x) for x in np.unique(proj[sup])]
+    total = float(wts[sup].sum())
+    l48 = 48.0 * math.log2(2.0 / alpha)
+    best = None
+    for i in range(len(u) - 1):
+        g1 = float(wts[proj <= u[i]].sum()) / total
+        mag = max(abs(u[i]), abs(u[i + 1]))
+        lowest_cut = u[i] + min(0.25 * (u[i + 1] - u[i]), 1e-9 * (mag + 1.0))
+        for j in range(len(u) - 1):
+            g2 = float(wts[proj > u[j]].sum()) / total
+            mag = abs(u[j + 1])
+            highest_cut = u[j + 1] - min(0.25 * (u[j + 1] - u[j]), 1e-9 * (mag + 1.0))
+            rsup = (highest_cut - lowest_cut) / 2.0
+            gmin = min(g1, g2)
+            if rsup <= 0.0 or gmin <= 0.0 or not gmin > l48 / (rsup * rsup):
+                continue
+            score = (1.0 - g1) ** 2 + (1.0 - g2) ** 2
+            if score <= 1.0 and (best is None or score < best):
+                best = score
+    return best
+
+
 def min_error_naive(vectors, target) -> float:
     best = math.inf
     for vec in vectors:

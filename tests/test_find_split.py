@@ -1,9 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from ldme import WeightFn, find_split
-from oracles import split_conditions_hold, split_feasible_bruteforce
+from oracles import (
+    split_best_score_bruteforce,
+    split_conditions_hold,
+    split_feasible_bruteforce,
+)
 
 
 def random_1d_instance(rng):
@@ -48,11 +53,13 @@ class TestFindSplit:
         wts = np.array([1.0, 0.5, 0.2, 0.0])  # far point unsupported
         assert find_split(vals, WeightFn(wts), 0.2) is None
 
-    def test_matches_bruteforce_oracle(self):
+    @pytest.mark.parametrize("off", [0.0, 1e6])
+    def test_matches_bruteforce_oracle(self, off):
         rng = np.random.default_rng(31)
         feasible_seen = 0
         for _ in range(300):
             vals, wts, alpha = random_1d_instance(rng)
+            vals = vals + off
             sp = find_split(vals, WeightFn(wts), alpha)
             expect = split_feasible_bruteforce(vals, wts, alpha)
             assert (sp is not None) == expect, (vals, wts, alpha)
@@ -61,11 +68,32 @@ class TestFindSplit:
                 assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R)
         assert feasible_seen >= 30  # the comparison must not be vacuous
 
-    def test_slack_only_relaxes_mass_condition(self):
+    @pytest.mark.parametrize("off", [0.0, 1e6])
+    def test_takes_most_balanced_split(self, off):
+        # The tree shape depends on which feasible split is taken: the one
+        # with the smallest squared-mass sum of the two halves.
         rng = np.random.default_rng(32)
-        for _ in range(100):
+        for _ in range(300):
             vals, wts, alpha = random_1d_instance(rng)
-            strict = find_split(vals, WeightFn(wts), alpha)
-            slack = find_split(vals, WeightFn(wts), alpha, tineq_slack=1e-9)
-            if strict is not None:
-                assert slack is not None
+            vals = vals + off
+            sp = find_split(vals, WeightFn(wts), alpha)
+            best = split_best_score_bruteforce(vals, wts, alpha)
+            assert (sp is None) == (best is None), (vals, wts, alpha)
+            if sp is not None:
+                total = wts.sum()
+                w1 = wts[vals >= sp.t - sp.R].sum()
+                w2 = wts[vals < sp.t + sp.R].sum()
+                assert (w1 * w1 + w2 * w2) / total**2 == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("off", [1e9, 1e12])
+    def test_splits_hold_exactly_at_large_offsets(self, off):
+        rng = np.random.default_rng(33)
+        feasible_seen = 0
+        for _ in range(300):
+            vals, wts, alpha = random_1d_instance(rng)
+            vals = vals + off
+            sp = find_split(vals, WeightFn(wts), alpha)
+            if sp is not None:
+                feasible_seen += 1
+                assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R, rel_tol=0.0)
+        assert feasible_seen >= 30

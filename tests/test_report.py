@@ -38,8 +38,10 @@ def test_trace_csv_columns(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(path, events)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "branch_id,depth,tag,lambda_star,wT_before,wT_after,wS_before,wS_after"
-    assert lines[1].startswith("0,0,certified,1.5,10.0,10.0,4.0,4.0")
+    assert lines[0] == (
+        "branch_id,parent_id,depth,tag,lambda_star,wT_before,wT_after,wS_before,wS_after"
+    )
+    assert lines[1].startswith("0,-1,0,certified,1.5,10.0,10.0,4.0,4.0")
     assert lines[2].endswith(",,")  # inlier columns empty without a mask
 
 
