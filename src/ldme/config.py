@@ -19,8 +19,9 @@ class RunConfig:
         scale_c: extra rescale constant, >= 1; points are divided by
             scale_c * sigma before filtering.
         big_c: variance-threshold constant of the filtering rule.
-        seed: seed for all internal randomness (eigensolver starts).
-        power_delta: total failure probability budget for the eigensolver.
+        seed: seed of the run, recorded with it and passed on by experiment
+            configs; the estimator draws no random numbers, so its answer
+            does not depend on the seed.
         trace: whether list_decode_mean records per-iteration trace events.
     """
 
@@ -29,7 +30,6 @@ class RunConfig:
     scale_c: float = 2.0
     big_c: float = 20.0
     seed: int = 0
-    power_delta: float = 0.01
     trace: bool = True
 
     def __post_init__(self) -> None:
@@ -41,10 +41,6 @@ class RunConfig:
             raise ConfigError(f"scale_c: must be >= 1, got {self.scale_c}")
         if not self.big_c > 0.0:
             raise ConfigError(f"big_c: must be positive, got {self.big_c}")
-        if not 0.0 < self.power_delta < 1.0:
-            raise ConfigError(
-                f"power_delta: must be in (0, 1), got {self.power_delta}"
-            )
 
     @property
     def rescale_factor(self) -> float:

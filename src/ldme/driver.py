@@ -1,8 +1,8 @@
 """Worklist driver: rescale, filter branches to exhaustion, collect means.
 
 Branches carry weight functions over one shared immutable point set. Each
-branch is processed by one spectral filtering pass along the approximate top
-eigendirection of its weighted covariance; certified branches contribute
+branch is processed by one spectral filtering pass on its support, along the
+top eigendirection of its weighted covariance; certified branches contribute
 their weighted mean to the hypothesis list, reweighted and split branches
 re-enter the FIFO worklist unless their total mass falls below alpha*n/2.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -118,8 +118,7 @@ def preprocess_rescale(points, cfg: RunConfig) -> PointSet:
     """Divide every coordinate by scale_c * sigma."""
     if not cfg.sigma > 0.0:
         raise ConfigError(f"sigma: must be positive, got {cfg.sigma}")
-    pts = np.asarray(points, dtype=np.float64)
-    return PointSet(pts / cfg.rescale_factor)
+    return PointSet(points, scale=cfg.rescale_factor)
 
 
 def postprocess_unscale(hyps: HypothesisList, cfg: RunConfig) -> HypothesisList:
@@ -127,24 +126,25 @@ def postprocess_unscale(hyps: HypothesisList, cfg: RunConfig) -> HypothesisList:
     return HypothesisList(hyps.vectors * cfg.rescale_factor)
 
 
-def main_subroutine(
-    ps: PointSet,
-    branch: BranchState,
-    cfg: RunConfig,
-    rng: np.random.Generator | int | None = None,
-) -> SubroutineResult:
+def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> SubroutineResult:
     """Process one branch: eigendirection, filtering pass, prune children.
+
+    The pass runs on the branch's support: the rows with positive weight
+    are gathered once (not at all when every row has positive weight), so
+    the eigensolve and the filtering pass scale with |supp|, not n. The
+    children's weights are scattered back to full length over ps.
 
     On a certified pass the weighted mean of the branch (in the rescaled
     coordinates of ps) is returned as the hypothesis. Otherwise the
     surviving children are those with total mass >= alpha*n/2.
     """
-    if rng is None:
-        rng = cfg.seed
-    delta = cfg.power_delta / ps.n
-    eig = approx_top_eigenpair(ps, branch.weights, delta, rng)
+    supported = branch.weights.weights > 0.0
+    local = not supported.all()
+    sub_ps = ps.restrict(supported) if local else ps
+    sub_w = WeightFn(branch.weights.weights[supported]) if local else branch.weights
+    eig = approx_top_eigenpair(sub_ps, sub_w)
     try:
-        outcome = basic_multifilter(ps, branch.weights, eig.direction, cfg.alpha, cfg)
+        outcome = basic_multifilter(sub_ps, sub_w, eig.direction, cfg.alpha, cfg)
     except InfeasibleSplit as err:
         err.details["lineage"] = branch.lineage
         err.details["depth"] = branch.depth
@@ -156,6 +156,10 @@ def main_subroutine(
             pruned=(),
             outcome=outcome,
             eigenpair=eig,
+        )
+    if local:
+        outcome = replace(
+            outcome, children=tuple(_scatter(wf, supported) for wf in outcome.children)
         )
     floor = cfg.alpha * ps.n / 2.0
     kept: list[BranchState] = []
@@ -174,6 +178,13 @@ def main_subroutine(
         outcome=outcome,
         eigenpair=eig,
     )
+
+
+def _scatter(wf: WeightFn, supported: np.ndarray) -> WeightFn:
+    """Full-length weights that are wf where supported and zero elsewhere."""
+    full = np.zeros(supported.shape)
+    full[supported] = wf.weights
+    return WeightFn(full)
 
 
 def _inlier_mass(wf: WeightFn, mask: np.ndarray | None) -> float | None:
@@ -234,7 +245,6 @@ def list_decode_mean(
         if mask.shape != (n,):
             raise ValueError(f"inlier mask has shape {mask.shape}, expected ({n},)")
 
-    rng = np.random.default_rng(cfg.seed)
     trace: list[TraceEvent] = []
     hypotheses: list[np.ndarray] = []
 
@@ -252,7 +262,7 @@ def list_decode_mean(
         if iterations > step_guard:
             raise RuntimeError("worklist failed to terminate within the step bound")
 
-        result = main_subroutine(ps, branch, cfg, rng)
+        result = main_subroutine(ps, branch, cfg)
         wt_before = branch.weights.total
         ws_before = _inlier_mass(branch.weights, mask)
 

@@ -120,25 +120,21 @@ def quantile_interval(projections: np.ndarray, w: WeightFn, alpha: float) -> Int
 
     a is the largest sample value whose strictly-smaller weight is at most
     the trim threshold; b symmetrically from above. Both endpoints are
-    attained at sample values. Sort plus prefix sums, O(n log n).
+    attained at sample values. Over the sorted values, the weight before a
+    position and the weight after it are monotone, so one binary search per
+    side finds the endpoint; ties share their value, so any position of a
+    tied value gives the same endpoint. Sort plus prefix sums, O(n log n).
     """
     p = _check_inputs(projections, w, alpha)
     tau = alpha * w.total / 8.0
 
     order = np.argsort(p, kind="stable")
-    p_sorted = p[order]
-    w_sorted = w.weights[order]
-    cum = np.cumsum(w_sorted)
-    uvals, starts = np.unique(p_sorted, return_index=True)
-
-    below = np.where(starts > 0, cum[starts - 1], 0.0)
-    ends = np.append(starts[1:], len(p_sorted)) - 1
-    above = w.total - cum[ends]
+    cum = np.cumsum(w.weights[order])
+    ja = int(np.searchsorted(cum[:-1], tau, side="right"))
+    above = w.total - cum
     above[-1] = 0.0  # exact by definition; shields cumsum round-off
-
-    ja = int(np.searchsorted(below, tau, side="right")) - 1
     jb = int(np.argmax(above <= tau))
-    return Interval(float(uvals[ja]), float(uvals[jb]))
+    return Interval(float(p[order[ja]]), float(p[order[jb]]))
 
 
 def truncated_variance(projections: np.ndarray, w: WeightFn, window: Interval) -> float:
@@ -209,31 +205,20 @@ def find_split(
     O(n log n) in total.
     """
     p = _check_inputs(projections, w, alpha)
-    supported = w.weights > 0.0
-    order = np.argsort(p[supported], kind="stable")
-    u, starts = np.unique(p[supported][order], return_index=True)
-    if len(u) < 2:
+    grid = _cut_grid(p, w.weights)
+    if grid is None:
         return None
-    prefix = np.cumsum(np.add.reduceat(w.weights[supported][order], starts))
-    total = float(prefix[-1])
+    u, g1, g2, lo, hi, clear_lo = grid
     l48 = 48.0 * np.log2(2.0 / alpha)
-    g1 = prefix[:-1] / total
-    g2 = (total - prefix[:-1]) / total
 
-    gap = np.diff(u)
-    mag_lo = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
-    clear_lo = np.minimum(0.25 * gap, 1e-9 * (mag_lo + 1.0))
-    lo = u[:-1] + clear_lo
-    hi = u[1:] - np.minimum(0.25 * gap, 1e-9 * (np.abs(u[1:]) + 1.0))
-
-    idx = np.arange(len(gap))
+    idx = np.arange(len(lo))
     best_score, sp = np.inf, None
     with np.errstate(divide="ignore", invalid="ignore"):
         j_of_i = np.searchsorted(hi, lo + 2.0 * np.sqrt(l48 / g1), side="right")
         i_of_j = np.searchsorted(lo, hi - 2.0 * np.sqrt(l48 / g2), side="left") - 1
         # One family at a time keeps the temporaries at n entries, not 2n.
         for i, j in ((idx, j_of_i), (i_of_j, idx)):
-            keep = (i >= 0) & (j < len(gap))
+            keep = (i >= 0) & (j < len(lo))
             i, j = i[keep], j[keep]
             score = (1.0 - g1[i]) ** 2 + (1.0 - g2[j]) ** 2
             keep = score <= 1.0
@@ -252,6 +237,35 @@ def find_split(
     if sp is None or not _split_holds(p, w.weights, w.total, sp, l48):
         return None
     return sp
+
+
+def _cut_grid(p: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The arrays find_split searches, or None below two supported values.
+
+    Returns the sorted unique supported values u, the lost fractions g1 and
+    g2, the usable cuts lo and hi, and the lower cut's clearance. The sort
+    order, group starts and prefix sums die here, so a split search holds
+    few arrays of the support's size at once.
+    """
+    supported = weights > 0.0
+    vals = p[supported]
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    if len(starts) < 2:
+        return None
+    u = vals[starts]
+    prefix = np.cumsum(np.add.reduceat(weights[supported][order], starts))
+    total = float(prefix[-1])
+    g1 = prefix[:-1] / total
+    g2 = (total - prefix[:-1]) / total
+
+    gap = np.diff(u)
+    mag_lo = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
+    clear_lo = np.minimum(0.25 * gap, 1e-9 * (mag_lo + 1.0))
+    lo = u[:-1] + clear_lo
+    hi = u[1:] - np.minimum(0.25 * gap, 1e-9 * (np.abs(u[1:]) + 1.0))
+    return u, g1, g2, lo, hi, clear_lo
 
 
 def _split_holds(

@@ -1,9 +1,10 @@
 """Weighted point sets and the spectral kernel built on them.
 
 A PointSet is an immutable n x d sample matrix; every soft-filtering state
-lives in a WeightFn attached to it. All operations here cost O(n*d) per
-pass and the weighted covariance is applied implicitly, never materialized
-as a d x d matrix.
+lives in a WeightFn attached to it. Means, variances and projections cost
+O(n*d). The top eigenpair is exact: the d x d weighted covariance of the
+supported rows is formed block by block in O(|supp| d^2) and handed to a
+dense symmetric eigensolver, O(d^3).
 """
 
 from __future__ import annotations
@@ -14,15 +15,23 @@ import numpy as np
 
 UNIT_TOL = 1e-9
 DEGENERATE_COV_REL = 1e-12
+# Entries per centered block of the covariance accumulation (512 KiB).
+BLOCK_ELEMENTS = 1 << 16
 
 
 class PointSet:
-    """Immutable set of n points in R^d, stored row-major."""
+    """Immutable set of n points in R^d, stored row-major.
+
+    The points are copied, then divided by ``scale`` in place, so building
+    a rescaled set holds only the input and one copy.
+    """
 
     __slots__ = ("points", "n", "d", "coord_scale")
 
-    def __init__(self, points) -> None:
+    def __init__(self, points, scale: float = 1.0) -> None:
         pts = np.array(points, dtype=np.float64)
+        if scale != 1.0:
+            pts /= scale
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2:
@@ -36,7 +45,20 @@ class PointSet:
         self.points = pts
         self.n = n
         self.d = d
-        self.coord_scale = float(np.abs(pts).max())
+        self.coord_scale = float(max(pts.max(), -pts.min()))
+
+    def restrict(self, mask: np.ndarray) -> "PointSet":
+        """The rows where mask is true, as a PointSet that keeps this set's
+        coord_scale.
+
+        Degeneracy is then still judged against the scale of the full sample.
+        """
+        sub = PointSet.__new__(PointSet)
+        sub.points = np.compress(mask, self.points, axis=0)
+        sub.points.flags.writeable = False
+        sub.n, sub.d = sub.points.shape
+        sub.coord_scale = self.coord_scale
+        return sub
 
     def __repr__(self) -> str:
         return f"PointSet(n={self.n}, d={self.d})"
@@ -71,11 +93,11 @@ class WeightFn:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Approximate top eigenpair of a weighted covariance.
+    """Top eigenpair of a weighted covariance.
 
-    ``value`` always equals the Rayleigh quotient of ``direction`` against
-    the weighted covariance (recomputed at return time), except in the
-    degenerate zero-covariance case where it is exactly 0.
+    ``value`` equals the Rayleigh quotient of ``direction`` against the
+    weighted covariance, except in the degenerate zero-covariance case
+    where it is exactly 0.
     """
 
     value: float
@@ -99,9 +121,14 @@ def _check_unit(v: np.ndarray, d: int) -> np.ndarray:
 
 
 def project(ps: PointSet, v: np.ndarray) -> np.ndarray:
-    """Project every point onto the unit vector v."""
+    """Project every point onto the unit vector v.
+
+    Each row is reduced on its own, so a point's projection is the same
+    bits whichever other rows share its set; BLAS gemv rounds a row
+    differently depending on its position.
+    """
     v = _check_unit(v, ps.d)
-    return ps.points @ v
+    return np.einsum("ij,j->i", ps.points, v)
 
 
 def weighted_mean(ps: PointSet, w: WeightFn) -> np.ndarray:
@@ -146,76 +173,55 @@ def cov_matvec(ps: PointSet, w: WeightFn, u: np.ndarray) -> np.ndarray:
     return (ps.points.T @ p - mu * p.sum()) / w.total
 
 
-def approx_top_eigenpair(
-    ps: PointSet,
-    w: WeightFn,
-    delta: float,
-    rng: np.random.Generator | int | None = None,
-) -> EigenPair:
-    """Approximate top eigenpair of the weighted covariance by power iteration.
+def _weighted_cov(ps: PointSet, w: WeightFn) -> np.ndarray:
+    """The d x d weighted covariance, (1/w(T)) * sum_x w(x) (x - mu)(x - mu)'.
 
-    With probability >= 1 - delta over the random start, the returned value
-    is at least half the true top eigenvalue. The value is the exact
-    Rayleigh quotient of the returned unit direction. Deterministic for a
-    fixed rng/seed. The iteration cap scales as log(d / delta); iteration
-    exits early once the Rayleigh quotient has stabilized.
+    Only rows with positive weight enter. They are centered and scaled by
+    sqrt(w) a block of about BLOCK_ELEMENTS entries at a time, so no n x d
+    temporary is ever made. O(n + |supp| d^2).
+    """
+    _check_pair(ps, w)
+    if w.total <= 0.0:
+        raise ValueError("weight function has zero total mass")
+    mu = weighted_mean(ps, w)
+    cov = np.zeros((ps.d, ps.d))
+    step = max(1, BLOCK_ELEMENTS // ps.d)
+    for start in range(0, ps.n, step):
+        block = ps.points[start : start + step]
+        wb = w.weights[start : start + step]
+        keep = wb > 0.0
+        if not keep.all():
+            block, wb = block[keep], wb[keep]
+        y = block - mu
+        y *= np.sqrt(wb)[:, None]
+        cov += y.T @ y
+    return cov / w.total
+
+
+def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
+    """Top eigenpair of the weighted covariance, by a dense symmetric solve.
+
+    Forms the d x d weighted covariance of the supported rows and calls
+    ``np.linalg.eigh``, so the pair is exact up to rounding: the value is
+    the top eigenvalue, which is also the Rayleigh quotient of the returned
+    unit direction. The direction's sign is fixed by making its component of
+    largest magnitude non-negative, so it does not depend on LAPACK's sign
+    choice. Deterministic. O(|supp| d^2 + d^3).
 
     Args:
         ps: the point set.
         w: weights with positive total mass.
-        delta: failure probability, in (0, 1).
-        rng: numpy Generator or seed for the start vector.
 
     Returns:
         EigenPair; ``degenerate`` is set when the covariance is numerically
         zero, in which case value is 0 and the direction is an arbitrary
         unit vector.
     """
-    _check_pair(ps, w)
-    if w.total <= 0.0:
-        raise ValueError("weight function has zero total mass")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-    X = ps.points
-    ww = w.weights
-    total = w.total
-    mu = weighted_mean(ps, w)
-
-    def matvec(u: np.ndarray) -> np.ndarray:
-        p = ww * (X @ u - mu @ u)
-        return (X.T @ p - mu * p.sum()) / total
-
-    max_iters = int(np.ceil(24.0 * np.log(ps.d / delta)))
-    v = gen.standard_normal(ps.d)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:  # measure-zero start; fall back to a basis vector
-        v = np.zeros(ps.d)
-        v[0] = 1.0
-    else:
-        v = v / norm
-
-    prev_rq = -np.inf
-    stable = 0
-    for _ in range(max_iters):
-        y = matvec(v)
-        rq = float(v @ y)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            break
-        v = y / ny
-        if abs(rq - prev_rq) <= 1e-13 * max(abs(rq), 1e-300):
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-        prev_rq = rq
-
-    value = float(v @ cov_matvec(ps, w, v))
-    if value < 0.0:
-        value = 0.0
+    cov = _weighted_cov(ps, w)
+    v = np.linalg.eigh(cov)[1][:, -1].copy()
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
+    value = max(float(v @ cov @ v), 0.0)
     if value <= DEGENERATE_COV_REL * ps.coord_scale**2:
         return EigenPair(value=0.0, direction=v, degenerate=True)
     return EigenPair(value=value, direction=v, degenerate=False)

@@ -7,8 +7,11 @@ from ldme import (
     BranchState,
     ConfigError,
     HypothesisList,
+    InfeasibleSplit,
+    PointSet,
     RunConfig,
     WeightFn,
+    basic_multifilter,
     gen_instance,
     InstanceSpec,
     list_decode_mean,
@@ -239,3 +242,89 @@ class TestListDecodeMean:
         ]
         assert strong, "no certified branch held 3/4 of the inlier mass"
         assert max(strong) <= budget
+
+
+def sorted_rows(vectors):
+    return vectors[np.lexsort(vectors.T[::-1])]
+
+
+class TestSupportLocalPass:
+    def test_children_match_full_pass_on_sparse_branches(self):
+        # 1% of the outliers are far junk, so sparse branches reweight too.
+        spec = InstanceSpec(
+            n=3000, d=8, alpha=0.1, adversary="line_clusters", decoys=9,
+            separation=400.0, mean_radius=25.0, seed=1,
+        )
+        pts, mask, _ = gen_instance(spec)
+        rng = np.random.default_rng(31)
+        junk = rng.choice(np.flatnonzero(~mask), 27, replace=False)
+        pts[junk] = rng.uniform(-5000.0, 5000.0, (27, 8))
+        cfg = RunConfig(alpha=0.1, trace=False)
+        ps = preprocess_rescale(pts, cfg)
+        steps = []
+        list_decode_mean(pts, cfg, observer=steps.append)
+        sparse = [
+            st.branch for st in steps
+            if (st.branch.weights.weights == 0.0).mean() >= 0.5
+            and st.result.outcome.tag != "certified"
+        ]
+        assert len(sparse) >= 5
+        tags = set()
+        for branch in sparse:
+            res = main_subroutine(ps, branch, cfg)
+            full = basic_multifilter(
+                ps, branch.weights, res.eigenpair.direction, cfg.alpha, cfg
+            )
+            tags.add(res.outcome.tag)
+            assert res.outcome.tag == full.tag
+            assert res.outcome.split_params == full.split_params
+            off_support = branch.weights.weights == 0.0
+            for got, want in zip(res.outcome.children, full.children, strict=True):
+                assert got.weights.shape == (ps.n,)
+                assert not got.weights[off_support].any()
+                np.testing.assert_array_equal(got.weights, want.weights)
+                assert got.total == want.total
+        assert tags == {"reweighted", "split"}
+
+    def test_degenerate_threshold_uses_full_scale(self):
+        # The supported rows vary by about 3e-5, far below 1e-6 of the full
+        # set's scale of 1e3 squared but not of their own scale.
+        rng = np.random.default_rng(45)
+        pts = np.vstack([1.0 + rng.normal(size=(10, 2)) * 3e-5, [[1e3, 0.0]] * 10])
+        ps = PointSet(pts)
+        branch = BranchState(
+            weights=WeightFn(np.r_[np.ones(10), np.zeros(10)]), depth=0, lineage=()
+        )
+        res = main_subroutine(ps, branch, RunConfig(alpha=0.2, scale_c=1.0))
+        assert res.eigenpair.degenerate
+        assert res.hypothesis is not None
+
+    def test_infeasible_split_counts_supported_rows(self):
+        spec = InstanceSpec(
+            n=400, d=8, alpha=0.25, adversary="uniform_noise",
+            noise_radius=300.0, mean_radius=5.0, seed=2,
+        )
+        pts, _, _ = gen_instance(spec)
+        cfg = RunConfig(alpha=0.25)
+        ps = preprocess_rescale(np.vstack([pts, pts + 1e4]), cfg)
+        branch = BranchState(
+            weights=WeightFn(np.r_[np.ones(400), np.zeros(400)]), depth=0, lineage=()
+        )
+        with pytest.raises(InfeasibleSplit) as exc:
+            main_subroutine(ps, branch, cfg)
+        assert exc.value.details["supported"] == 400
+
+
+@pytest.mark.parametrize("adversary", ["line_clusters", "decoy_clusters"])
+def test_row_permutation_keeps_hypothesis_set(adversary):
+    spec = InstanceSpec(
+        n=1500, d=8, alpha=0.15, adversary=adversary, decoys=6,
+        separation=500.0, mean_radius=10.0, seed=37,
+    )
+    pts, _, _ = gen_instance(spec)
+    cfg = RunConfig(alpha=0.15, trace=False)
+    perm = np.random.default_rng(38).permutation(len(pts))
+    want = sorted_rows(list_decode_mean(pts, cfg)[0].vectors)
+    got = sorted_rows(list_decode_mean(pts[perm], cfg)[0].vectors)
+    assert got.shape == want.shape and len(want) >= 1
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())

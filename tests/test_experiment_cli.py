@@ -100,6 +100,14 @@ class TestCli:
         bad.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(bad)]) == 2
 
+    def test_removed_power_delta_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(SMOKE.read_text())
+        cfg["run"]["power_delta"] = 0.01
+        bad.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(bad)]) == 2
+        assert "power_delta: unknown run field" in capsys.readouterr().err
+
     def test_config_json_garbage_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -83,6 +83,18 @@ class TestProject:
         with pytest.raises(ValueError):
             project(PointSet([[1.0, 2.0]]), np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("d", [8, 20, 200])
+    def test_restricted_rows_project_to_the_same_bits(self, d):
+        rng = np.random.default_rng(d)
+        ps = PointSet(rng.normal(size=(3000, d)) * 100.0)
+        for _ in range(5):
+            v = rng.normal(size=d)
+            v /= np.linalg.norm(v)
+            mask = rng.uniform(size=ps.n) < rng.uniform(0.1, 0.9)
+            np.testing.assert_array_equal(
+                project(ps.restrict(mask), v), project(ps, v)[mask]
+            )
+
     def test_non_unit_raises(self):
         with pytest.raises(ValueError):
             project(PointSet([[1.0, 2.0]]), np.array([1.0, 1.0]))
@@ -190,7 +202,7 @@ class TestApproxTopEigenpair:
         pts = np.tile(rng.normal(size=12), (40, 1))
         pts[:, 0] = rng.normal(size=40) * 4.0
         ps, w = PointSet(pts), WeightFn(np.ones(40))
-        eig = approx_top_eigenpair(ps, w, 1e-3, rng=0)
+        eig = approx_top_eigenpair(ps, w)
         axis = np.zeros(12)
         axis[0] = 1.0
         assert min(
@@ -201,7 +213,7 @@ class TestApproxTopEigenpair:
 
     def test_identical_points_degenerate(self):
         ps = PointSet(np.tile([2.0, -1.0, 3.0], (7, 1)))
-        eig = approx_top_eigenpair(ps, WeightFn(np.ones(7)), 1e-2, rng=1)
+        eig = approx_top_eigenpair(ps, WeightFn(np.ones(7)))
         assert eig.degenerate
         assert eig.value == 0.0
         np.testing.assert_allclose(np.linalg.norm(eig.direction), 1.0, rtol=1e-9)
@@ -214,7 +226,7 @@ class TestApproxTopEigenpair:
             wts = rng.uniform(0, 1, n)
             wts[0] = 1.0
             ps, w = PointSet(pts), WeightFn(wts)
-            eig = approx_top_eigenpair(ps, w, 1e-3, rng=seed)
+            eig = approx_top_eigenpair(ps, w)
             ray = float(eig.direction @ cov_matvec(ps, w, eig.direction))
             np.testing.assert_allclose(eig.value, ray, rtol=1e-9, atol=1e-15)
 
@@ -226,7 +238,7 @@ class TestApproxTopEigenpair:
         lam_max, _ = top_eigenpair_dense(pts, wts)
         ps, w = PointSet(pts), WeightFn(wts)
         hits = sum(
-            approx_top_eigenpair(ps, w, 1e-3, rng=seed).value >= lam_max / 2.0
+            approx_top_eigenpair(ps, w).value >= lam_max / 2.0
             for seed in range(1000)
         )
         assert hits >= 995
@@ -239,7 +251,7 @@ class TestApproxTopEigenpair:
             wts = rng.uniform(0, 1, n)
             wts[0] = 1.0
             ps, w = PointSet(pts), WeightFn(wts)
-            eig = approx_top_eigenpair(ps, w, 1e-3, rng=trial)
+            eig = approx_top_eigenpair(ps, w)
             lam_max, _ = top_eigenpair_dense(pts, wts)
             assert lam_max <= 2.0 * eig.value * (1.0 + 1e-9)
 
@@ -247,12 +259,77 @@ class TestApproxTopEigenpair:
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(25, 5))
         ps, w = PointSet(pts), WeightFn(np.ones(25))
-        a = approx_top_eigenpair(ps, w, 1e-2, rng=123)
-        b = approx_top_eigenpair(ps, w, 1e-2, rng=123)
+        a = approx_top_eigenpair(ps, w)
+        b = approx_top_eigenpair(ps, w)
         assert a.value == b.value
         np.testing.assert_array_equal(a.direction, b.direction)
 
-    def test_invalid_delta_raises(self):
-        ps = PointSet([[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            approx_top_eigenpair(ps, WeightFn([1, 1]), 0.0)
+
+def assert_top_value_exact(pts, wts):
+    eig = approx_top_eigenpair(PointSet(pts), WeightFn(wts))
+    lam_max, _ = top_eigenpair_dense(pts, wts)
+    np.testing.assert_allclose(eig.value, lam_max, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(np.linalg.norm(eig.direction), 1.0, rtol=1e-12)
+    return eig
+
+
+class TestExactTopEigenpair:
+    def test_value_is_top_eigenvalue_on_random_sets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 80)), int(rng.integers(1, 25))
+            pts = rng.normal(size=(n, d)) @ np.diag(rng.uniform(0.1, 5.0, d))
+            wts = rng.uniform(0.0, 1.0, n)
+            wts[0] = 1.0
+            assert_top_value_exact(pts, wts)
+
+    def test_zero_weight_rows_are_ignored(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n, d = int(rng.integers(4, 60)), int(rng.integers(1, 12))
+            pts = rng.normal(size=(n, d)) * 3.0
+            wts = rng.uniform(0.0, 1.0, n)
+            wts[rng.uniform(size=n) < 0.5] = 0.0
+            wts[0] = 1.0
+            # zero-weight rows far away must not move the pair
+            pts[wts == 0.0] += 1e4
+            eig = assert_top_value_exact(pts, wts)
+            sup = wts > 0.0
+            alone = approx_top_eigenpair(PointSet(pts[sup]), WeightFn(wts[sup]))
+            np.testing.assert_allclose(eig.value, alone.value, rtol=1e-9)
+
+    def test_more_dimensions_than_points(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(2, 10))
+            d = int(rng.integers(n + 1, 60))
+            pts = rng.normal(size=(n, d)) * rng.uniform(0.5, 4.0)
+            assert_top_value_exact(pts, rng.uniform(0.1, 1.0, n))
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(14)
+        base = rng.normal(size=(6, 5)) * 2.0
+        pts = np.repeat(base, 7, axis=0)
+        assert_top_value_exact(pts, rng.uniform(0.1, 1.0, len(pts)))
+
+    def test_single_point_is_degenerate(self):
+        eig = approx_top_eigenpair(PointSet([[3.0, -4.0, 1.0]]), WeightFn([1.0]))
+        assert eig.degenerate
+        assert eig.value == 0.0
+        np.testing.assert_allclose(np.linalg.norm(eig.direction), 1.0, rtol=1e-12)
+
+    def test_large_coordinate_offset(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            n, d = int(rng.integers(10, 80)), int(rng.integers(1, 15))
+            pts = 1e6 + rng.normal(size=(n, d)) @ np.diag(rng.uniform(0.5, 4.0, d))
+            assert_top_value_exact(pts, rng.uniform(0.1, 1.0, n))
+
+    def test_sign_makes_largest_component_non_negative(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            pts = rng.normal(size=(30, 6)) * rng.uniform(0.5, 4.0, 6)
+            v = approx_top_eigenpair(PointSet(pts), WeightFn(np.ones(30))).direction
+            assert v[np.argmax(np.abs(v))] >= 0.0
+            flipped = approx_top_eigenpair(PointSet(-pts), WeightFn(np.ones(30)))
+            np.testing.assert_allclose(flipped.direction, v, atol=1e-9)
