@@ -129,19 +129,22 @@ def postprocess_unscale(hyps: HypothesisList, cfg: RunConfig) -> HypothesisList:
 def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> SubroutineResult:
     """Process one branch: eigendirection, filtering pass, prune children.
 
-    The pass runs on the branch's support: the rows with positive weight
-    are gathered once (not at all when every row has positive weight), so
-    the eigensolve and the filtering pass scale with |supp|, not n. The
-    children's weights are scattered back to full length over ps.
+    The pass runs on the branch's support. The indices of the rows with
+    positive weight are found once per pass; they gather those rows and
+    their weights (not at all when every row has positive weight), so the
+    eigensolve and the filtering pass scale with |supp|, not n, and they
+    scatter the children's weights back to full length over ps. Gathered
+    and scattered weights are fresh arrays that their WeightFn takes over
+    without a further copy.
 
     On a certified pass the weighted mean of the branch (in the rescaled
     coordinates of ps) is returned as the hypothesis. Otherwise the
     surviving children are those with total mass >= alpha*n/2.
     """
-    supported = branch.weights.weights > 0.0
-    local = not supported.all()
-    sub_ps = ps.restrict(supported) if local else ps
-    sub_w = WeightFn(branch.weights.weights[supported]) if local else branch.weights
+    rows = np.flatnonzero(branch.weights.weights > 0.0)
+    local = len(rows) < ps.n
+    sub_ps = ps.restrict(rows) if local else ps
+    sub_w = WeightFn._own(branch.weights.weights[rows]) if local else branch.weights
     eig = approx_top_eigenpair(sub_ps, sub_w)
     try:
         outcome = basic_multifilter(sub_ps, sub_w, eig.direction, cfg.alpha, cfg)
@@ -159,7 +162,7 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
         )
     if local:
         outcome = replace(
-            outcome, children=tuple(_scatter(wf, supported) for wf in outcome.children)
+            outcome, children=tuple(_scatter(wf, rows, ps.n) for wf in outcome.children)
         )
     floor = cfg.alpha * ps.n / 2.0
     kept: list[BranchState] = []
@@ -180,11 +183,11 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     )
 
 
-def _scatter(wf: WeightFn, supported: np.ndarray) -> WeightFn:
-    """Full-length weights that are wf where supported and zero elsewhere."""
-    full = np.zeros(supported.shape)
-    full[supported] = wf.weights
-    return WeightFn(full)
+def _scatter(wf: WeightFn, rows: np.ndarray, n: int) -> WeightFn:
+    """Length-n weights that are wf at the given rows and zero elsewhere."""
+    full = np.zeros(n)
+    full[rows] = wf.weights
+    return WeightFn._own(full)
 
 
 def _inlier_mass(wf: WeightFn, mask: np.ndarray | None) -> float | None:

@@ -123,12 +123,13 @@ def quantile_interval(projections: np.ndarray, w: WeightFn, alpha: float) -> Int
     attained at sample values. Over the sorted values, the weight before a
     position and the weight after it are monotone, so one binary search per
     side finds the endpoint; ties share their value, so any position of a
-    tied value gives the same endpoint. Sort plus prefix sums, O(n log n).
+    tied value gives the same endpoint, and the sort need not be stable.
+    Sort plus prefix sums, O(n log n).
     """
     p = _check_inputs(projections, w, alpha)
     tau = alpha * w.total / 8.0
 
-    order = np.argsort(p, kind="stable")
+    order = np.argsort(p)
     cum = np.cumsum(w.weights[order])
     ja = int(np.searchsorted(cum[:-1], tau, side="right"))
     above = w.total - cum
@@ -163,18 +164,22 @@ def soft_downweight(projections: np.ndarray, w: WeightFn, interval: Interval) ->
     p = np.asarray(projections, dtype=np.float64)
     if p.shape != w.weights.shape:
         raise ValueError("projections and weights must have matching length")
-    gap = np.maximum(interval.a - p, 0.0) + np.maximum(p - interval.b, 0.0)
-    f = gap * gap
-    supported = w.weights > 0.0
-    if not supported.any():
+    if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    fmax = float(f[supported].max())
+    # One length-n buffer goes from the gap to the new weights in place.
+    f = np.maximum(interval.a - p, 0.0)
+    f += np.maximum(p - interval.b, 0.0)
+    f *= f
+    fmax = float(np.max(f, where=w.weights > 0.0, initial=0.0))
     if fmax <= 0.0:
         raise DegenerateDownweight(
             "all supported projections lie inside the interval"
         )
-    factors = np.maximum(1.0 - f / fmax, 0.0)
-    return WeightFn(w.weights * factors)
+    f /= fmax
+    np.subtract(1.0, f, out=f)
+    np.maximum(f, 0.0, out=f)
+    f *= w.weights
+    return WeightFn._own(f)
 
 
 def find_split(
@@ -249,7 +254,7 @@ def _cut_grid(p: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...] | No
     """
     supported = weights > 0.0
     vals = p[supported]
-    order = np.argsort(vals, kind="stable")
+    order = np.argsort(vals)
     vals = vals[order]
     starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
     if len(starts) < 2:
@@ -324,6 +329,6 @@ def basic_multifilter(
         )
     lo = sp.t - sp.R
     hi = sp.t + sp.R
-    right = WeightFn(np.where(proj >= lo, w.weights, 0.0))
-    left = WeightFn(np.where(proj < hi, w.weights, 0.0))
+    right = WeightFn._own(np.where(proj >= lo, w.weights, 0.0))
+    left = WeightFn._own(np.where(proj < hi, w.weights, 0.0))
     return MultifilterOutcome.split(right, left, sp)

@@ -47,14 +47,18 @@ class PointSet:
         self.d = d
         self.coord_scale = float(max(pts.max(), -pts.min()))
 
-    def restrict(self, mask: np.ndarray) -> "PointSet":
-        """The rows where mask is true, as a PointSet that keeps this set's
-        coord_scale.
+    def restrict(self, rows: np.ndarray) -> "PointSet":
+        """The rows at the given integer indices, in that order, as a PointSet
+        that keeps this set's coord_scale.
 
         Degeneracy is then still judged against the scale of the full sample.
+        A boolean mask is refused: ``np.take`` would read it as indices 0 and 1.
         """
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            raise TypeError("restrict takes row indices, not a boolean mask")
         sub = PointSet.__new__(PointSet)
-        sub.points = np.compress(mask, self.points, axis=0)
+        sub.points = np.take(self.points, rows, axis=0)
         sub.points.flags.writeable = False
         sub.n, sub.d = sub.points.shape
         sub.coord_scale = self.coord_scale
@@ -67,19 +71,39 @@ class PointSet:
 class WeightFn:
     """Per-point weights in [0, 1] for a PointSet of matching length.
 
-    The total mass is computed once at construction and cached.
+    The total mass is computed once at construction and cached. The public
+    constructor copies its input; ``_own`` adopts a fresh array instead.
     """
 
     __slots__ = ("weights", "total")
 
     def __init__(self, weights) -> None:
-        w = np.array(weights, dtype=np.float64)
+        self._adopt(np.array(weights, dtype=np.float64))
+
+    @classmethod
+    def _own(cls, w: np.ndarray) -> "WeightFn":
+        """Take ownership of a freshly built float64 array without copying.
+
+        The caller must hold no other reference it writes through: the array
+        is checked as by the public constructor and then made read-only.
+        """
+        if w.dtype != np.float64:
+            raise TypeError(f"weights must be float64, got {w.dtype}")
+        wf = cls.__new__(cls)
+        wf._adopt(w)
+        return wf
+
+    def _adopt(self, w: np.ndarray) -> None:
         if w.ndim != 1:
             raise ValueError(f"weights must be 1-D, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if (w < 0.0).any() or (w > 1.0).any():
-            raise ValueError("weights must lie in [0, 1]")
+        if w.size:
+            # min and max propagate NaN, so two reductions check every entry
+            # without a length-n temporary.
+            lo, hi = float(w.min()), float(w.max())
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("weights must be finite")
+            if lo < 0.0 or hi > 1.0:
+                raise ValueError("weights must lie in [0, 1]")
         w.flags.writeable = False
         self.weights = w
         self.total = float(w.sum())

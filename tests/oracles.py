@@ -2,7 +2,7 @@
 
 Everything here is written as directly from the definitions as possible
 (plain loops, no shared code with the package) so that agreement is
-meaningful.
+meaningful. ``tied_1d_instance`` draws inputs for the tie-order tests.
 """
 
 from __future__ import annotations
@@ -186,3 +186,28 @@ def separated_subset_props(kept: np.ndarray, original: np.ndarray, radius: float
         if not any(np.linalg.norm(vec - k) <= radius for k in kept):
             return False
     return True
+
+
+def tied_1d_instance(rng, n_max: int = 120):
+    """Weighted 1-D values with heavy ties, for tie-order tests.
+
+    Either rounded values with weights k/64, or a few distinct values each
+    repeated with one shared weight (duplicate rows, as along a lineage).
+    Both make the weight of every tied group the same bits in any summation
+    order, so a sort that reorders ties must not change any result.
+    """
+    n = int(rng.integers(2, n_max + 1))
+    centers = rng.normal(size=int(rng.integers(1, 5))) * rng.uniform(1, 300)
+    if rng.integers(0, 2):
+        vals = np.round(rng.choice(centers, n) + rng.normal(size=n) * rng.uniform(0, 3))
+        wts = rng.integers(0, 65, n) / 64.0
+    else:
+        m = int(rng.integers(1, n + 1))
+        base = rng.choice(centers, m) + rng.normal(size=m) * rng.uniform(0.5, 3)
+        wbase = rng.uniform(0, 1, m)
+        wbase[wbase < 0.1] = 0.0
+        pick = rng.integers(0, m, n)
+        vals, wts = base[pick], wbase[pick]
+    if wts.max() <= 0:
+        wts[rng.integers(0, n)] = 1.0
+    return vals, wts, float(rng.uniform(0.02, 0.45))

@@ -286,6 +286,38 @@ class TestSupportLocalPass:
                 assert got.total == want.total
         assert tags == {"reweighted", "split"}
 
+    def test_children_share_no_memory_with_the_parent(self):
+        spec = InstanceSpec(
+            n=1500, d=4, alpha=0.1, adversary="line_clusters", decoys=9,
+            separation=400.0, mean_radius=25.0, seed=3,
+        )
+        pts, mask, _ = gen_instance(spec)
+        rng = np.random.default_rng(5)
+        junk = rng.choice(np.flatnonzero(~mask), 14, replace=False)
+        pts[junk] = rng.uniform(-5000.0, 5000.0, (14, 4))
+        steps = []
+        list_decode_mean(pts, RunConfig(alpha=0.1, trace=False), observer=steps.append)
+        cases = [(st.branch, st.result) for st in steps]
+        # A heavy-tailed cloud reweights on its full support.
+        cloud = np.vstack([rng.normal(size=(200, 3)) * 0.3, [[500.0, 0.0, 0.0]]])
+        root = branch_of(201)
+        cfg = RunConfig(alpha=0.3, scale_c=1.0)
+        cases.append((root, main_subroutine(PointSet(cloud), root, cfg)))
+        seen = set()
+        for branch, res in cases:
+            parent = branch.weights.weights
+            full = bool((parent > 0.0).all())
+            children = [c.weights.weights for c in res.children + res.pruned]
+            if children:
+                seen.add((res.outcome.tag, full))
+            for i, child in enumerate(children):
+                assert child.shape == parent.shape and not child.flags.writeable
+                assert not np.shares_memory(child, parent)
+                assert not any(np.shares_memory(child, c) for c in children[i + 1 :])
+        assert seen == {
+            ("reweighted", True), ("reweighted", False), ("split", True), ("split", False)
+        }
+
     def test_degenerate_threshold_uses_full_scale(self):
         # The supported rows vary by about 3e-5, far below 1e-6 of the full
         # set's scale of 1e3 squared but not of their own scale.

@@ -8,6 +8,7 @@ from oracles import (
     split_best_score_bruteforce,
     split_conditions_hold,
     split_feasible_bruteforce,
+    tied_1d_instance,
 )
 
 
@@ -96,4 +97,16 @@ class TestFindSplit:
             if sp is not None:
                 feasible_seen += 1
                 assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R, rel_tol=0.0)
+        assert feasible_seen >= 30
+
+    def test_tie_order_does_not_matter(self):
+        rng = np.random.default_rng(48)
+        feasible_seen = 0
+        for _ in range(150):
+            vals, wts, alpha = tied_1d_instance(rng, n_max=400)
+            want = find_split(vals, WeightFn(wts), alpha)
+            feasible_seen += want is not None
+            for _ in range(3):
+                perm = rng.permutation(len(vals))
+                assert find_split(vals[perm], WeightFn(wts[perm]), alpha) == want
         assert feasible_seen >= 30

@@ -17,6 +17,7 @@ from ldme import (
 )
 from oracles import (
     quantile_interval_naive,
+    tied_1d_instance,
     split_conditions_hold,
     truncated_variance_naive,
 )
@@ -74,6 +75,22 @@ class TestQuantileInterval:
     def test_zero_total_raises(self):
         with pytest.raises(ValueError):
             quantile_interval(np.array([1.0]), WeightFn([0.0]), 0.2)
+
+    def test_tie_order_does_not_matter(self):
+        # The sort need not be stable: permuting the rows reorders ties.
+        rng = np.random.default_rng(47)
+        reordered = 0
+        for _ in range(150):
+            proj, wts, alpha = tied_1d_instance(rng)
+            want = quantile_interval(proj, WeightFn(wts), alpha)
+            for _ in range(3):
+                perm = rng.permutation(len(proj))
+                p, w = proj[perm], wts[perm]
+                reordered += not np.array_equal(np.argsort(p), np.argsort(p, kind="stable"))
+                iv = quantile_interval(p, WeightFn(w), alpha)
+                assert (iv.a, iv.b) == (want.a, want.b)
+                assert (iv.a, iv.b) == quantile_interval_naive(p, w, alpha)
+        assert reordered >= 100  # the default sort did reorder ties
 
 
 class TestTruncatedVariance:

@@ -60,6 +60,38 @@ class TestWeightFn:
         with pytest.raises(ValueError):
             w.weights[0] = 1.0
 
+    def test_public_constructor_copies(self):
+        x = np.array([0.25, 0.5, 1.0])
+        w = WeightFn(x)
+        assert not np.shares_memory(w.weights, x)
+        x[0] = 0.75
+        assert w.weights[0] == 0.25 and x.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, -0.1, -1e-300, 1.0 + 1e-15, 2.0]
+    )
+    def test_owning_constructor_checks_as_public_one(self, bad):
+        x = np.array([0.5, bad, 0.25])
+        with pytest.raises(ValueError) as public:
+            WeightFn(x)
+        with pytest.raises(ValueError) as owning:
+            WeightFn._own(x.copy())
+        assert str(owning.value) == str(public.value)
+
+    def test_owning_constructor_checks_shape_and_dtype(self):
+        with pytest.raises(ValueError):
+            WeightFn._own(np.ones((2, 2)))
+        with pytest.raises(TypeError):
+            WeightFn._own(np.ones(3, dtype=np.float32))
+
+    def test_owning_constructor_adopts_without_copy(self):
+        x = np.array([0.0, 0.5, 1.0])
+        w = WeightFn._own(x)
+        assert np.shares_memory(w.weights, x)
+        assert w.total == 1.5 and len(w) == 3
+        with pytest.raises(ValueError):
+            w.weights[0] = 1.0
+
 
 class TestProject:
     def test_axis_projection(self):
@@ -92,8 +124,14 @@ class TestProject:
             v /= np.linalg.norm(v)
             mask = rng.uniform(size=ps.n) < rng.uniform(0.1, 0.9)
             np.testing.assert_array_equal(
-                project(ps.restrict(mask), v), project(ps, v)[mask]
+                project(ps.restrict(np.flatnonzero(mask)), v), project(ps, v)[mask]
             )
+
+    def test_restrict_refuses_a_boolean_mask(self):
+        ps = PointSet(np.arange(10.0).reshape(5, 2))
+        with pytest.raises(TypeError):
+            ps.restrict(np.array([True, False, True, False, True]))
+        np.testing.assert_array_equal(ps.restrict(np.array([4, 0])).points, [[8, 9], [0, 1]])
 
     def test_non_unit_raises(self):
         with pytest.raises(ValueError):
