@@ -21,7 +21,7 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .dataio import save_hypotheses_json
 from .driver import list_decode_mean
-from .instances import InstanceSpec, gen_instance
+from .instances import InstanceSpec, gen_instance, load_outliers
 from .listreduce import ReduceConfig, reduce_list
 from .report import Report, evaluate, summarize_trace, write_trace_csv
 
@@ -74,13 +74,19 @@ def _config_echo(spec: InstanceSpec, run_cfg: RunConfig, red_cfg: ReduceConfig) 
     }
 
 
-def run_experiment(config: dict | str | Path) -> Report:
-    """Generate, estimate, reduce, evaluate; write any requested files."""
+def run_experiment(
+    config: dict | str | Path, outliers: np.ndarray | None = None
+) -> Report:
+    """Generate, estimate, reduce, evaluate; write any requested files.
+
+    outliers, when given, are the file adversary's rows already read (see
+    load_outliers); gen_instance reads the file otherwise.
+    """
     cfg = load_config(config) if isinstance(config, (str, Path)) else config
     spec, run_cfg, red_cfg, output = parse_config(cfg)
 
     start = time.perf_counter()
-    points, mask, true_mean = gen_instance(spec)
+    points, mask, true_mean = gen_instance(spec, outliers)
     hyps, trace = list_decode_mean(points, run_cfg, inlier_mask=mask)
     reduced = reduce_list(hyps, red_cfg)
 
@@ -135,11 +141,22 @@ def _worker_count() -> int:
 
 
 def run_sweep(config: dict | str | Path, seeds=None) -> list[Report]:
-    """Run one experiment per seed; worker count capped by LDME_THREADS."""
+    """Run one experiment per seed; worker count capped by LDME_THREADS.
+
+    The file adversary's outlier file is read once, before the fan-out, and
+    every seed gets the same read-only rows.
+    """
     cfg = load_config(config) if isinstance(config, (str, Path)) else dict(config)
     seeds = list(seeds if seeds is not None else cfg.get("seeds", []))
     if not seeds:
         return [run_experiment(cfg)]
+    workers = _worker_count()
+    # Seeds differ only in their seed fields and output paths, so every
+    # seed's instance needs the same outlier rows (none when n_out is 0).
+    spec = parse_config(cfg)[0]
+    outliers = None
+    if spec.adversary == "file" and spec.n_inliers < spec.n:
+        outliers = load_outliers(spec)
 
     def one(seed: int) -> Report:
         sub = json.loads(json.dumps({k: v for k, v in cfg.items() if k != "seeds"}))
@@ -150,9 +167,8 @@ def run_sweep(config: dict | str | Path, seeds=None) -> list[Report]:
             if path:
                 p = Path(path)
                 out[key] = str(p.with_name(f"{p.stem}_seed{seed}{p.suffix}"))
-        return run_experiment(sub)
+        return run_experiment(sub, outliers)
 
-    workers = _worker_count()
     if workers == 1:
         return [one(s) for s in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -148,8 +148,26 @@ def _equidistant_centers(base: np.ndarray, k: int, sep: float, d: int) -> np.nda
     return embedded[1:] + base
 
 
-def gen_instance(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def load_outliers(spec: InstanceSpec) -> np.ndarray:
+    """Read the file adversary's rows once, as a read-only array.
+
+    A seed sweep shares the result across seeds and worker threads.
+    """
+    outliers = load_points(spec.outlier_file)
+    outliers.setflags(write=False)
+    return outliers
+
+
+def gen_instance(
+    spec: InstanceSpec, outliers: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate one instance. Deterministic for a fixed spec (incl. seed).
+
+    Args:
+        spec: the instance to draw.
+        outliers: the file adversary's rows when already read (see
+            load_outliers); read from spec.outlier_file when None. Ignored
+            by the other adversaries.
 
     Returns:
         (points, inlier_mask, true_mean): an (n, d) array, a boolean mask of
@@ -167,12 +185,21 @@ def gen_instance(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     n_in = spec.n_inliers
     n_out = spec.n - n_in
-    inliers = mean + spec.sigma * _unit_shapes(
-        spec.inlier_model, spec.student_t_dof, n_in, spec.d, rng
-    )
+    # Each block is drawn, then written into its row slice of one buffer,
+    # so at most one block's draw is alive beside the sample.
+    points = np.empty((spec.n, spec.d))
+
+    def draw_cloud(lo: int, hi: int, center: np.ndarray) -> np.ndarray:
+        """Rows lo:hi become center + sigma * inlier-shaped deviations."""
+        model, dof = spec.inlier_model, spec.student_t_dof
+        shapes = _unit_shapes(model, dof, hi - lo, spec.d, rng)
+        shapes *= spec.sigma
+        return np.add(center, shapes, out=points[lo:hi])
+
+    draw_cloud(0, n_in, mean)
 
     if n_out == 0:
-        outliers = np.zeros((0, spec.d))
+        pass
     elif spec.adversary in ("decoy_clusters", "line_clusters"):
         if spec.adversary == "decoy_clusters":
             centers = _equidistant_centers(mean, spec.decoys, spec.separation, spec.d)
@@ -184,33 +211,29 @@ def gen_instance(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray
         sizes = [n_out // spec.decoys] * spec.decoys
         for i in range(n_out % spec.decoys):
             sizes[i] += 1
-        chunks = [
-            centers[i]
-            + spec.sigma
-            * _unit_shapes(spec.inlier_model, spec.student_t_dof, sizes[i], spec.d, rng)
-            for i in range(spec.decoys)
-        ]
-        outliers = np.vstack(chunks)
+        lo = n_in
+        for center, size in zip(centers, sizes):
+            draw_cloud(lo, lo + size, center)
+            lo += size
     elif spec.adversary == "uniform_noise":
         directions = rng.standard_normal((n_out, spec.d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         radii = spec.noise_radius * rng.uniform(0.0, 1.0, n_out) ** (1.0 / spec.d)
-        outliers = mean + directions * radii[:, None]
+        directions *= radii[:, None]
+        np.add(mean, directions, out=points[n_in:])
     elif spec.adversary == "mirror":
-        fresh = mean + spec.sigma * _unit_shapes(
-            spec.inlier_model, spec.student_t_dof, n_out, spec.d, rng
-        )
-        outliers = -fresh
+        np.negative(draw_cloud(n_in, spec.n, mean), out=points[n_in:])
     else:  # file
-        outliers = load_points(spec.outlier_file)
+        if outliers is None:
+            outliers = load_outliers(spec)
         if outliers.shape != (n_out, spec.d):
             raise ConfigError(
                 f"outlier_file: contains shape {outliers.shape}, "
                 f"expected ({n_out}, {spec.d})"
             )
+        points[n_in:] = outliers
 
-    points = np.vstack([inliers, outliers])
     mask = np.zeros(spec.n, dtype=bool)
     mask[:n_in] = True
     perm = rng.permutation(spec.n)
-    return points[perm], mask[perm], mean
+    return np.take(points, perm, axis=0), mask[perm], mean

@@ -67,7 +67,11 @@ def write_trace_csv(path, events: list[TraceEvent]) -> None:
 
 @dataclass
 class Report:
-    """Final summary of one end-to-end run."""
+    """Final summary of one end-to-end run.
+
+    wall_time_s covers generation, estimation, reduction and evaluation. In
+    a seed sweep it leaves out the outlier file read, which the seeds share.
+    """
 
     config: dict
     list_size: int

@@ -16,11 +16,15 @@ from ldme import (
 
 
 def test_csv_round_trip(tmp_path):
+    # %.17g round-trips every float64 exactly, subnormals and -0.0 included.
     rng = np.random.default_rng(60)
-    pts = rng.normal(size=(17, 5)) * 1e3
+    scales = 10.0 ** np.arange(-300, 301, 25)
+    pts = rng.normal(size=(len(scales), 5)) * scales[:, None]
+    info = np.finfo(np.float64)
+    pts = np.vstack([pts, [-0.0, 5e-324, -5e-324, info.max, info.tiny]])
     path = tmp_path / "pts.csv"
     save_points_csv(path, pts)
-    np.testing.assert_allclose(load_points_csv(path), pts, rtol=1e-15)
+    assert load_points_csv(path).tobytes() == pts.tobytes()
 
 
 def test_binary_round_trip_and_header(tmp_path):

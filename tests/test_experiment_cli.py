@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 import ldme.experiment
+import ldme.instances
 from ldme import (
     InfeasibleSplit,
+    InstanceSpec,
+    gen_instance,
     load_points,
     run_experiment,
     run_sweep,
+    save_points_csv,
 )
 from ldme.cli import main
 
@@ -22,6 +26,29 @@ def smoke_config(tmp_path, **output):
     cfg = json.loads(SMOKE.read_text())
     cfg["output"] = {k: str(tmp_path / v) for k, v in output.items()}
     return cfg
+
+
+def file_sweep_config(tmp_path, outlier_rows=None):
+    """A 3-seed sweep over line-cluster outliers read from a CSV."""
+    spec = InstanceSpec(
+        n=240, d=4, alpha=0.25, adversary="line_clusters", decoys=3,
+        separation=300.0, mean_radius=5.0, seed=40,
+    )
+    points, mask, true_mean = gen_instance(spec)
+    outliers = points[~mask] if outlier_rows is None else points[~mask][:outlier_rows]
+    save_points_csv(tmp_path / "outliers.csv", outliers)
+    return {
+        "instance": {
+            "n": 240, "d": 4, "alpha": 0.25, "adversary": "file",
+            "outlier_file": str(tmp_path / "outliers.csv"),
+            "true_mean": true_mean.tolist(), "seed": 0,
+        },
+        "output": {
+            "report": str(tmp_path / "report.json"),
+            "hypotheses": str(tmp_path / "hyps.json"),
+        },
+        "seeds": [3, 4, 5],
+    }
 
 
 class TestRunExperiment:
@@ -80,6 +107,68 @@ class TestRunExperiment:
         cfg = smoke_config(tmp_path)
         with pytest.raises(ConfigError, match="LDME_THREADS"):
             run_sweep(cfg, seeds=[1, 2])
+
+
+class TestFileSweep:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_outlier_file_read_once_and_shared_read_only(
+        self, tmp_path, monkeypatch, threads
+    ):
+        monkeypatch.setenv("LDME_THREADS", threads)
+        reads, shared = [], []
+        load = ldme.instances.load_points
+        gen = ldme.experiment.gen_instance
+
+        def counting_load(path):
+            reads.append(path)
+            return load(path)
+
+        def capturing_gen(spec, outliers=None):
+            shared.append(outliers)
+            return gen(spec, outliers)
+
+        monkeypatch.setattr(ldme.instances, "load_points", counting_load)
+        monkeypatch.setattr(ldme.experiment, "gen_instance", capturing_gen)
+        reports = run_sweep(file_sweep_config(tmp_path))
+        assert len(reports) == 3
+        assert len(reads) == 1
+        assert len(shared) == 3
+        assert all(arr is shared[0] for arr in shared)
+        assert not shared[0].flags.writeable
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_seed_matches_a_standalone_run(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("LDME_THREADS", threads)
+        cfg = file_sweep_config(tmp_path)
+        run_sweep(cfg)
+        for seed in cfg["seeds"]:
+            solo = {
+                "instance": dict(cfg["instance"], seed=seed),
+                "run": {"seed": seed},
+                "output": {"hypotheses": str(tmp_path / f"solo{seed}.json")},
+            }
+            run_experiment(solo)
+            swept = json.loads((tmp_path / f"hyps_seed{seed}.json").read_text())
+            alone = json.loads((tmp_path / f"solo{seed}.json").read_text())
+            for key in ("vectors", "reduced"):
+                assert (
+                    np.array(swept[key]).tobytes() == np.array(alone[key]).tobytes()
+                )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bad_outlier_file_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, threads
+    ):
+        monkeypatch.setenv("LDME_THREADS", threads)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(file_sweep_config(tmp_path, outlier_rows=100)))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert "outlier_file" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_seed*.json"))
+
+        (tmp_path / "outliers.csv").unlink()
+        assert main(["experiment", "--config", str(path)]) == 4
+        assert not list(tmp_path.glob("*_seed*.json"))
 
 
 class TestCli:

@@ -1,7 +1,12 @@
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ldme import ConfigError, InstanceSpec, gen_instance, save_points_csv
+from ldme.instances import load_outliers
 
 
 class TestSpecValidation:
@@ -127,6 +132,84 @@ class TestGenInstance:
         dists = np.linalg.norm(pts[~mask] - mu, axis=1)
         assert dists.max() <= 5.0 + 1e-9
         assert dists.max() > 4.0  # actually fills the ball
+
+    def test_shared_outliers_match_the_file_read(self, tmp_path):
+        path = tmp_path / "outliers.csv"
+        save_points_csv(path, np.arange(12.0).reshape(6, 2) * 0.7)
+        spec = InstanceSpec(
+            n=10, d=2, alpha=0.4, adversary="file", outlier_file=str(path), seed=4
+        )
+        shared = load_outliers(spec)
+        assert not shared.flags.writeable
+        for x, y in zip(gen_instance(spec, shared), gen_instance(spec)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_peak_memory_is_about_two_samples(self):
+        # The sample is built in one buffer and permuted once: the draws,
+        # the unpermuted buffer and the returned copy are not all alive
+        # together. Shape of the decoys_wide benchmark workload.
+        spec = InstanceSpec(
+            n=16000, d=200, alpha=0.1, adversary="decoy_clusters", decoys=9,
+            separation=40.0 / math.sqrt(0.1), mean_radius=10.0, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            pts, _, _ = gen_instance(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * pts.nbytes
+
+
+# SHA-256 over the bytes of (points, mask, mean). The digests pin the draws,
+# their order and the arithmetic bit for bit, so a change to how the sample
+# is assembled must reproduce them. One spec per adversary, all three inlier
+# models among them.
+PINNED = {
+    "decoy_clusters": (
+        dict(n=61, d=4, alpha=0.3, adversary="decoy_clusters", decoys=3,
+             separation=25.0, mean_radius=4.0, seed=11),
+        "2345ae5528c05fe8d67cc83968678d7818933d9fee4244afe5408ef5b79d7d26",
+    ),
+    "line_clusters": (
+        dict(n=59, d=3, alpha=0.25, inlier_model="heavy_tail_student_t",
+             adversary="line_clusters", decoys=4, separation=40.0, seed=12),
+        "9d8b657f20240f70161b6eb92a3ab6794693f25e4a084835247b59880d07a5a0",
+    ),
+    "uniform_noise": (
+        dict(n=50, d=3, alpha=0.2, inlier_model="bounded_uniform",
+             adversary="uniform_noise", noise_radius=8.0,
+             true_mean=np.array([1.0, -2.0, 0.5]), seed=13),
+        "795712143f949447c11b6623dbb798055601f02f88af079bce24c47123069662",
+    ),
+    "mirror": (
+        dict(n=40, d=2, alpha=0.35, inlier_model="heavy_tail_student_t",
+             student_t_dof=5.0, adversary="mirror", mean_radius=3.0, seed=14),
+        "7fbd3c1baf9edf80d6a204ef3dead1b373b3c3efec8f4aeeb33d9255fbf9a697",
+    ),
+    "file": (
+        dict(n=10, d=2, alpha=0.3, inlier_model="bounded_uniform",
+             adversary="file", mean_radius=2.0, seed=15),
+        "0766748c636dd43eab934fd8b9b0a0eb468f336f6d99106978730e3106777689",
+    ),
+    "no_outliers": (
+        dict(n=1, d=3, alpha=0.4, seed=16),
+        "19e880d67eedc0f7c8d75c25ea4e33420e302b4feb851dc0f69f466344be3840",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_gen_instance_output_is_pinned(name, tmp_path):
+    fields, want = PINNED[name]
+    if fields.get("adversary") == "file":
+        path = tmp_path / "outliers.csv"
+        save_points_csv(path, (np.arange(14.0).reshape(7, 2) - 3.0) * 0.37)
+        fields = dict(fields, outlier_file=str(path))
+    digest = hashlib.sha256()
+    for arr in gen_instance(InstanceSpec(**fields)):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == want
 
 
 class TestRepresentativeRate:
