@@ -267,7 +267,7 @@ def list_decode_mean(
 
         result = main_subroutine(ps, branch, cfg)
         wt_before = branch.weights.total
-        ws_before = _inlier_mass(branch.weights, mask)
+        ws_before = _inlier_mass(branch.weights, mask) if cfg.trace else None
 
         child_ids: list[int] = []
         pruned_ids: list[int] = []

@@ -115,7 +115,9 @@ def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float) -> np.ndar
     return p
 
 
-def quantile_interval(projections: np.ndarray, w: WeightFn, alpha: float) -> Interval:
+def quantile_interval(
+    projections: np.ndarray, w: WeightFn, alpha: float, order: np.ndarray | None = None
+) -> Interval:
     """Central interval [a, b] trimming alpha*w(T)/8 of weight per side.
 
     a is the largest sample value whose strictly-smaller weight is at most
@@ -125,11 +127,15 @@ def quantile_interval(projections: np.ndarray, w: WeightFn, alpha: float) -> Int
     side finds the endpoint; ties share their value, so any position of a
     tied value gives the same endpoint, and the sort need not be stable.
     Sort plus prefix sums, O(n log n).
+
+    ``order`` is an argsort of the projections that the caller already
+    holds; without it the function sorts for itself.
     """
     p = _check_inputs(projections, w, alpha)
     tau = alpha * w.total / 8.0
 
-    order = np.argsort(p)
+    if order is None:
+        order = np.argsort(p)
     cum = np.cumsum(w.weights[order])
     ja = int(np.searchsorted(cum[:-1], tau, side="right"))
     above = w.total - cum
@@ -183,7 +189,7 @@ def soft_downweight(projections: np.ndarray, w: WeightFn, interval: Interval) ->
 
 
 def find_split(
-    projections: np.ndarray, w: WeightFn, alpha: float
+    projections: np.ndarray, w: WeightFn, alpha: float, order: np.ndarray | None = None
 ) -> SplitParams | None:
     """Return the most balanced feasible overlapping split (t, R), or None.
 
@@ -204,26 +210,44 @@ def find_split(
     g2 falls with j, and the squared-mass sum (1 - g1)^2 + (1 - g2)^2 falls
     with i and rises with j. When g1[i] is the smaller lost fraction it
     fixes the least usable R, so the best partner of i is the smallest j
-    whose hi[j] clears lo[i] by 2R; symmetrically, when g2[j] is smaller,
-    the best partner of j is the largest i. One binary search per family
-    therefore yields a candidate set that contains an optimal split,
-    O(n log n) in total.
+    whose hi[j] clears lo[i] by 2R (family 1); symmetrically, when g2[j] is
+    smaller, the best partner of j is the largest i (family 2). One binary
+    search per family therefore yields a candidate set that contains an
+    optimal split, O(n log n) in total.
+
+    Only half of each family can win. The lower cut of a feasible split lies
+    below its upper cut, so i <= j and g1[i] + g2[j] <= 1. A family-1
+    candidate with g1[i] > 1/2 thus has g2[j] < 1/2 as its smaller lost
+    fraction, and family 2 at the same j pairs j with the largest usable
+    i' >= i, which scores no worse. So family 1 is searched over the prefix
+    of i with g1 <= 1/2 and family 2 over the suffix of j with g2 <= 1/2.
+    On equal scores family 1 wins.
+
+    ``order`` is an argsort of the projections that the caller already
+    holds (basic_multifilter shares one with quantile_interval); without it
+    the function sorts for itself.
     """
     p = _check_inputs(projections, w, alpha)
-    grid = _cut_grid(p, w.weights)
+    if order is None:
+        order = np.argsort(p)
+    grid = _cut_grid(p, w.weights, order)
     if grid is None:
         return None
     u, g1, g2, lo, hi, clear_lo = grid
     l48 = 48.0 * np.log2(2.0 / alpha)
 
-    idx = np.arange(len(lo))
+    m = len(lo)
+    n1 = int(np.searchsorted(g1, 0.5, side="right"))  # g1 <= 1/2 on [0, n1)
+    j0 = m - int(np.searchsorted(g2[::-1], 0.5, side="right"))  # g2 <= 1/2 on [j0, m)
     best_score, sp = np.inf, None
     with np.errstate(divide="ignore", invalid="ignore"):
-        j_of_i = np.searchsorted(hi, lo + 2.0 * np.sqrt(l48 / g1), side="right")
-        i_of_j = np.searchsorted(lo, hi - 2.0 * np.sqrt(l48 / g2), side="left") - 1
-        # One family at a time keeps the temporaries at n entries, not 2n.
-        for i, j in ((idx, j_of_i), (i_of_j, idx)):
-            keep = (i >= 0) & (j < len(lo))
+        j_of_i = np.searchsorted(hi, lo[:n1] + 2.0 * np.sqrt(l48 / g1[:n1]), side="right")
+        i_of_j = (
+            np.searchsorted(lo, hi[j0:] - 2.0 * np.sqrt(l48 / g2[j0:]), side="left") - 1
+        )
+        # One family at a time keeps the temporaries at one slice's length.
+        for i, j in ((np.arange(n1), j_of_i), (i_of_j, np.arange(j0, m))):
+            keep = (i >= 0) & (j < m)
             i, j = i[keep], j[keep]
             score = (1.0 - g1[i]) ** 2 + (1.0 - g2[j]) ** 2
             keep = score <= 1.0
@@ -244,23 +268,27 @@ def find_split(
     return sp
 
 
-def _cut_grid(p: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...] | None:
+def _cut_grid(
+    p: np.ndarray, weights: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, ...] | None:
     """The arrays find_split searches, or None below two supported values.
 
-    Returns the sorted unique supported values u, the lost fractions g1 and
-    g2, the usable cuts lo and hi, and the lower cut's clearance. The sort
-    order, group starts and prefix sums die here, so a split search holds
-    few arrays of the support's size at once.
+    Gathers the values and weights in the sort order ``order`` and drops
+    zero-weight entries, then returns the sorted unique supported values u,
+    the lost fractions g1 and g2, the usable cuts lo and hi, and the lower
+    cut's clearance. The gathered arrays, group starts and prefix sums die
+    here, so a split search holds few arrays of the support's size at once.
     """
-    supported = weights > 0.0
-    vals = p[supported]
-    order = np.argsort(vals)
-    vals = vals[order]
+    vals = p[order]
+    wts = weights[order]
+    supported = wts > 0.0
+    if not supported.all():
+        vals, wts = vals[supported], wts[supported]
     starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
     if len(starts) < 2:
         return None
     u = vals[starts]
-    prefix = np.cumsum(np.add.reduceat(weights[supported][order], starts))
+    prefix = np.cumsum(np.add.reduceat(wts, starts))
     total = float(prefix[-1])
     g1 = prefix[:-1] / total
     g2 = (total - prefix[:-1]) / total
@@ -308,14 +336,15 @@ def basic_multifilter(
     proj = project(ps, v)
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    interval = quantile_interval(proj, w, alpha)
+    order = np.argsort(proj)  # shared by the quantile interval and the split search
+    interval = quantile_interval(proj, w, alpha, order)
     lg = np.log2(2.0 / alpha)
     gate = cfg.big_c * lg * lg
     if truncated_variance(proj, w, interval.doubled()) <= gate:
         if weighted_variance(proj, w) <= 2.0 * gate:
             return MultifilterOutcome.certified()
         return MultifilterOutcome.reweighted(soft_downweight(proj, w, interval))
-    sp = find_split(proj, w, alpha)
+    sp = find_split(proj, w, alpha, order)
     if sp is None:
         raise InfeasibleSplit(
             "no feasible split at a point where one is required",

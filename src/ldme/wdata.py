@@ -22,16 +22,17 @@ BLOCK_ELEMENTS = 1 << 16
 class PointSet:
     """Immutable set of n points in R^d, stored row-major.
 
-    The points are copied, then divided by ``scale`` in place, so building
-    a rescaled set holds only the input and one copy.
+    The float64 points, divided by ``scale`` unless it is 1, are written in
+    one pass, so building a set holds only the input and one copy.
     """
 
     __slots__ = ("points", "n", "d", "coord_scale")
 
     def __init__(self, points, scale: float = 1.0) -> None:
-        pts = np.array(points, dtype=np.float64)
         if scale != 1.0:
-            pts /= scale
+            pts = np.divide(points, scale, dtype=np.float64)
+        else:
+            pts = np.array(points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2:
@@ -39,13 +40,15 @@ class PointSet:
         n, d = pts.shape
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        # max and min propagate NaN and +-inf, so they double as the check.
+        hi, lo = float(pts.max()), float(pts.min())
+        if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError("points must have finite coordinates")
         pts.flags.writeable = False
         self.points = pts
         self.n = n
         self.d = d
-        self.coord_scale = float(max(pts.max(), -pts.min()))
+        self.coord_scale = max(hi, -lo)
 
     def restrict(self, rows: np.ndarray) -> "PointSet":
         """The rows at the given integer indices, in that order, as a PointSet

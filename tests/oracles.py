@@ -211,3 +211,70 @@ def tied_1d_instance(rng, n_max: int = 120):
     if wts.max() <= 0:
         wts[rng.integers(0, n)] = 1.0
     return vals, wts, float(rng.uniform(0.02, 0.45))
+
+
+def find_split_both_families(projections, weights, alpha) -> tuple[float, float] | None:
+    """(t, R) of the most balanced feasible split, or None, by the full
+    two-family candidate search over every cut position.
+
+    This is the vectorized search ``find_split`` narrows to the half of each
+    family that can win: family 1 pairs every lower cut i with its smallest
+    usable upper cut, family 2 every upper cut j with its largest usable
+    lower cut, and family 1 wins on equal scores. Cuts keep the clearance
+    described in ``split_best_score_bruteforce``; the chosen split is
+    re-checked on the realized halves.
+    """
+    proj = np.asarray(projections, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    sup = wts > 0.0
+    vals = proj[sup]
+    order = np.argsort(vals)
+    vals = vals[order]
+    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    if len(starts) < 2:
+        return None
+    u = vals[starts]
+    prefix = np.cumsum(np.add.reduceat(wts[sup][order], starts))
+    total = float(prefix[-1])
+    g1 = prefix[:-1] / total
+    g2 = (total - prefix[:-1]) / total
+    gap = np.diff(u)
+    mag_lo = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
+    clear_lo = np.minimum(0.25 * gap, 1e-9 * (mag_lo + 1.0))
+    lo = u[:-1] + clear_lo
+    hi = u[1:] - np.minimum(0.25 * gap, 1e-9 * (np.abs(u[1:]) + 1.0))
+    l48 = 48.0 * np.log2(2.0 / alpha)
+
+    idx = np.arange(len(lo))
+    best_score, best = np.inf, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j_of_i = np.searchsorted(hi, lo + 2.0 * np.sqrt(l48 / g1), side="right")
+        i_of_j = np.searchsorted(lo, hi - 2.0 * np.sqrt(l48 / g2), side="left") - 1
+        for i, j in ((idx, j_of_i), (i_of_j, idx)):
+            keep = (i >= 0) & (j < len(lo))
+            i, j = i[keep], j[keep]
+            score = (1.0 - g1[i]) ** 2 + (1.0 - g2[j]) ** 2
+            keep = score <= 1.0
+            i, j, score = i[keep], j[keep], score[keep]
+            gmin = np.minimum(g1[i], g2[j])
+            top = u[i + 1] - clear_lo[i]
+            r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - top))
+            r_hi = 0.5 * (hi[j] - lo[i])
+            R = 0.5 * (r_lo + r_hi)
+            ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
+            if ok.any():
+                k = int(np.argmin(np.where(ok, score, np.inf)))
+                if score[k] < best_score:
+                    best_score = score[k]
+                    best = (float(hi[j[k]] - R[k]), float(R[k]))
+    if best is None:
+        return None
+    t, R = best
+    w1 = float(wts[proj >= t - R].sum())
+    w2 = float(wts[proj < t + R].sum())
+    wt = float(wts.sum())
+    if not w1 * w1 + w2 * w2 <= wt * wt:
+        return None
+    if not min(1.0 - w1 / wt, 1.0 - w2 / wt) >= l48 / (R * R):
+        return None
+    return best

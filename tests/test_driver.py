@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ldme.driver
 from ldme import (
     BranchState,
     ConfigError,
@@ -171,6 +172,25 @@ class TestListDecodeMean:
         rng = np.random.default_rng(0)
         _, trace = list_decode_mean(rng.normal(size=(50, 3)), cfg)
         assert trace == []
+
+    def test_untraced_run_sums_no_inlier_mass(self, monkeypatch):
+        # The inlier masses only feed trace events; with tracing off the
+        # mask costs no per-pass sums and leaves the answer as it was.
+        spec = InstanceSpec(
+            n=400, d=5, alpha=0.3, adversary="line_clusters", decoys=2,
+            separation=300.0, seed=13,
+        )
+        pts, mask, _ = gen_instance(spec)
+        want, _ = list_decode_mean(pts, RunConfig(alpha=0.3, seed=13), inlier_mask=mask)
+        sums = []
+        inlier_mass = ldme.driver._inlier_mass
+        monkeypatch.setattr(
+            ldme.driver, "_inlier_mass", lambda *a: sums.append(a) or inlier_mass(*a)
+        )
+        cfg = RunConfig(alpha=0.3, seed=13, trace=False)
+        hyps, trace = list_decode_mean(pts, cfg, inlier_mask=mask)
+        assert trace == [] and sums == []
+        np.testing.assert_array_equal(hyps.vectors, want.vectors)
 
     def test_inlier_mass_tracked(self):
         spec = InstanceSpec(

@@ -5,6 +5,7 @@ import pytest
 
 from ldme import WeightFn, find_split
 from oracles import (
+    find_split_both_families,
     split_best_score_bruteforce,
     split_conditions_hold,
     split_feasible_bruteforce,
@@ -110,3 +111,36 @@ class TestFindSplit:
                 perm = rng.permutation(len(vals))
                 assert find_split(vals[perm], WeightFn(wts[perm]), alpha) == want
         assert feasible_seen >= 30
+
+
+class TestHalfSearch:
+    """find_split searches only the half of each candidate family that can
+    win; the answer must be the full two-family search's, bit for bit."""
+
+    @staticmethod
+    def _params(sp):
+        return None if sp is None else (sp.t, sp.R)
+
+    @pytest.mark.parametrize("off", [0.0, 1e6])
+    def test_matches_full_two_family_search(self, off):
+        rng = np.random.default_rng(34)
+        feasible_seen = 0
+        for _ in range(10_000):
+            vals, wts, alpha = random_1d_instance(rng)
+            vals = vals + off
+            want = find_split_both_families(vals, wts, alpha)
+            got = self._params(find_split(vals, WeightFn(wts), alpha))
+            assert got == want, (vals, wts, alpha)
+            feasible_seen += want is not None
+        assert feasible_seen >= 3_000
+
+    def test_matches_full_two_family_search_on_ties(self):
+        rng = np.random.default_rng(35)
+        feasible_seen = 0
+        for _ in range(4_000):
+            vals, wts, alpha = tied_1d_instance(rng)
+            want = find_split_both_families(vals, wts, alpha)
+            got = self._params(find_split(vals, WeightFn(wts), alpha))
+            assert got == want, (vals, wts, alpha)
+            feasible_seen += want is not None
+        assert feasible_seen >= 1_000

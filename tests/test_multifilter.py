@@ -10,6 +10,7 @@ from ldme import (
     RunConfig,
     WeightFn,
     basic_multifilter,
+    find_split,
     quantile_interval,
     soft_downweight,
     truncated_variance,
@@ -308,3 +309,51 @@ class TestBasicMultifilter:
                     nice = True
             assert nice, f"trial {trial}: no nice child"
         assert checked >= 50
+
+
+class TestSharedSortOrder:
+    """basic_multifilter sorts its projections once and hands the order to
+    quantile_interval and find_split."""
+
+    def test_given_order_gives_the_same_answer(self):
+        # Any sort order of the projections will do, whatever it does with
+        # ties, and zero weights may sit anywhere in it.
+        rng = np.random.default_rng(49)
+        zeros_seen = feasible_seen = 0
+        for _ in range(300):
+            proj, wts, alpha = tied_1d_instance(rng)
+            w = WeightFn(wts)
+            zeros_seen += bool((wts == 0.0).any())
+            want_iv = quantile_interval(proj, w, alpha)
+            want_sp = find_split(proj, w, alpha)
+            feasible_seen += want_sp is not None
+            for order in (
+                np.argsort(proj),
+                np.argsort(proj, kind="stable"),
+                np.lexsort((rng.random(len(proj)), proj)),
+            ):
+                assert quantile_interval(proj, w, alpha, order) == want_iv
+                assert find_split(proj, w, alpha, order) == want_sp
+        assert zeros_seen >= 100 and feasible_seen >= 50
+
+    @pytest.mark.parametrize("tag", ["split", "reweighted"])
+    def test_one_sort_per_pass(self, monkeypatch, tag):
+        rng = np.random.default_rng(50)
+        if tag == "split":
+            vals = np.concatenate([np.zeros(50), np.full(50, 100.0)]) + rng.normal(size=100)
+            alpha = 0.2
+        else:
+            vals = np.concatenate([rng.uniform(-0.01, 0.01, 96), np.full(4, 1e4)])
+            alpha = 0.8
+        sorts = 0
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            nonlocal sorts
+            sorts += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        out, _ = run_multifilter_1d(vals, np.ones(100), alpha)
+        assert out.tag == tag
+        assert sorts == 1

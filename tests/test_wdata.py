@@ -40,6 +40,40 @@ class TestPointSet:
         ps = PointSet([1.0, 2.0, 3.0])
         assert ps.n == 1 and ps.d == 3
 
+    @pytest.mark.parametrize("scale", [1.0, 3.7, np.float32(0.3)])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.arange(-6, 6).reshape(4, 3),
+            np.random.default_rng(8).normal(size=(5, 2)).astype(np.float32),
+            [0.25, -7.5, 1e300],
+            [[1, 2], [3.5, -4.0]],
+        ],
+        ids=["int", "float32", "1-D", "list"],
+    )
+    def test_same_bits_as_copy_then_divide(self, points, scale):
+        # The one-pass construction stores what copying to float64 and then
+        # dividing in place stored.
+        want = np.array(points, dtype=np.float64)
+        if scale != 1.0:
+            want /= scale
+        want = want.reshape(-1, want.shape[-1])
+        ps = PointSet(points, scale)
+        assert ps.points.dtype == np.float64 and ps.points.shape == want.shape
+        assert ps.points.tobytes() == want.tobytes()
+        assert ps.coord_scale == float(max(want.max(), -want.min()))
+        assert not ps.points.flags.writeable
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_nonfinite_value(self, bad, scale):
+        pts = np.random.default_rng(9).normal(size=(6, 3))
+        pts[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(pts, scale)
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(pts[4], scale)
+
 
 class TestWeightFn:
     def test_range_validation(self):
