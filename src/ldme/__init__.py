@@ -45,7 +45,7 @@ from .multifilter import (
     soft_downweight,
     truncated_variance,
 )
-from .report import Report, evaluate, summarize_trace, write_trace_csv
+from .report import Report, TreeCounts, evaluate, write_trace_csv
 from .wdata import (
     EigenPair,
     PointSet,

@@ -33,12 +33,19 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
+# RunConfig fields that estimate and experiment take as flags: type, help.
+RUN_FLAGS = {
+    "alpha": (float, "assumed inlier fraction"),
+    "sigma": (float, "inlier covariance scale"),
+    "scale_c": (float, None),
+    "big_c": (float, None),
+    "seed": (int, None),
+}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, help="assumed inlier fraction")
-    parser.add_argument("--sigma", type=float, help="inlier covariance scale")
-    parser.add_argument("--scale-c", type=float, dest="scale_c")
-    parser.add_argument("--big-c", type=float, dest="big_c")
-    parser.add_argument("--seed", type=int)
+    for key, (kind, text) in RUN_FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, dest=key, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_config_from_args(args, base: dict | None = None) -> RunConfig:
     raw = dict(base or {})
-    for key in ("alpha", "sigma", "scale_c", "big_c", "seed"):
+    for key in RUN_FLAGS:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
@@ -171,7 +178,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    for key in ("alpha", "sigma", "scale_c", "big_c", "seed"):
+    for key in RUN_FLAGS:
         val = getattr(args, key, None)
         if val is not None:
             cfg.setdefault("run", {})[key] = val

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .multifilter import InfeasibleSplit, MultifilterOutcome, basic_multifilter
 from .wdata import EigenPair, PointSet, WeightFn, approx_top_eigenpair, weighted_mean
 
@@ -45,7 +46,7 @@ class BranchState:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """Per-outcome instrumentation record.
+    """One row of the trace, derived from a DriverStep.
 
     One event per certified exit and one per produced child (including
     pruned ones). branch_id names the resulting branch; for certified exits
@@ -104,7 +105,13 @@ class SubroutineResult:
 
 @dataclass(frozen=True)
 class DriverStep:
-    """What an observer callback sees after each processed branch."""
+    """The one record of a processed branch.
+
+    The driver builds one per pass, whether or not a trace is recorded,
+    hands it to the observer and derives the pass's trace events from it.
+    Kept children are numbered child_ids and pruned ones pruned_ids, both
+    in the order of result.children and result.pruned.
+    """
 
     branch_id: int
     parent_id: int
@@ -115,9 +122,7 @@ class DriverStep:
 
 
 def preprocess_rescale(points, cfg: RunConfig) -> PointSet:
-    """Divide every coordinate by scale_c * sigma."""
-    if not cfg.sigma > 0.0:
-        raise ConfigError(f"sigma: must be positive, got {cfg.sigma}")
+    """Divide every coordinate by scale_c * sigma (RunConfig checks sigma > 0)."""
     return PointSet(points, scale=cfg.rescale_factor)
 
 
@@ -153,34 +158,17 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
         err.details["depth"] = branch.depth
         raise
     if outcome.tag == "certified":
-        return SubroutineResult(
-            hypothesis=weighted_mean(ps, branch.weights),
-            children=(),
-            pruned=(),
-            outcome=outcome,
-            eigenpair=eig,
-        )
+        return SubroutineResult(weighted_mean(ps, branch.weights), (), (), outcome, eig)
     if local:
         outcome = replace(
             outcome, children=tuple(_scatter(wf, rows, ps.n) for wf in outcome.children)
         )
     floor = cfg.alpha * ps.n / 2.0
-    kept: list[BranchState] = []
-    pruned: list[BranchState] = []
-    for wf in outcome.children:
-        child = BranchState(
-            weights=wf,
-            depth=branch.depth + 1,
-            lineage=branch.lineage + (outcome.tag,),
-        )
-        (kept if wf.total >= floor else pruned).append(child)
-    return SubroutineResult(
-        hypothesis=None,
-        children=tuple(kept),
-        pruned=tuple(pruned),
-        outcome=outcome,
-        eigenpair=eig,
-    )
+    lineage = branch.lineage + (outcome.tag,)
+    children = [BranchState(wf, branch.depth + 1, lineage) for wf in outcome.children]
+    kept = tuple(child for child in children if child.weights.total >= floor)
+    pruned = tuple(child for child in children if not child.weights.total >= floor)
+    return SubroutineResult(None, kept, pruned, outcome, eig)
 
 
 def _scatter(wf: WeightFn, rows: np.ndarray, n: int) -> WeightFn:
@@ -194,6 +182,30 @@ def _inlier_mass(wf: WeightFn, mask: np.ndarray | None) -> float | None:
     if mask is None:
         return None
     return float(wf.weights[mask].sum())
+
+
+def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]:
+    """The trace rows of one processed branch.
+
+    A certified branch gives one event under its own id; any other pass
+    gives one event per child, kept ones under the pass's tag and pruned
+    ones under "pruned", each named by the child's id.
+    """
+    res, parent = step.result, step.branch.weights
+    lam, ws_before = res.eigenpair.value, _inlier_mass(parent, mask)
+    # Each row: the event's branch id, its parent id, tag, weights after.
+    if res.hypothesis is not None:
+        rows = [(step.branch_id, step.parent_id, "certified", parent)]
+    else:
+        tags = (res.outcome.tag,) * len(res.children) + ("pruned",) * len(res.pruned)
+        children = [child.weights for child in res.children + res.pruned]
+        ids = step.child_ids + step.pruned_ids
+        rows = zip(ids, repeat(step.branch_id), tags, children)
+    return [
+        TraceEvent(bid, pid, step.branch.depth, tag, lam, parent.total, wf.total,
+                   ws_before, _inlier_mass(wf, mask))
+        for bid, pid, tag, wf in rows
+    ]
 
 
 def _alpha_good(ps: PointSet, mask: np.ndarray, alpha: float) -> bool:
@@ -229,8 +241,9 @@ def list_decode_mean(
             given, trace events carry the weight mass on the inliers, and a
             post-run check requires at least one hypothesis whenever the
             mask passes the verifiable goodness test.
-        observer: optional callback invoked after each processed branch,
-            for instrumentation; it must not mutate anything.
+        observer: optional callback invoked with the DriverStep of each
+            processed branch, in processing order, whether or not the trace
+            is recorded; it must not mutate anything.
 
     Returns:
         (HypothesisList, trace events). The trace is empty when cfg.trace
@@ -254,88 +267,30 @@ def list_decode_mean(
     root = BranchState(weights=WeightFn(np.ones(n)), depth=0, lineage=())
     queue: deque[tuple[int, int, BranchState]] = deque([(0, -1, root)])
     next_id = 1
-    iterations = 0
+    passes = 0
     # Worst-case tree size is n splits deep over at most ceil(4/alpha^2)
     # simultaneous branches; anything past that indicates a broken invariant.
     step_guard = 10 * n * (math.ceil(4.0 / cfg.alpha**2) + 1) + 16
 
     while queue:
         branch_id, parent_id, branch = queue.popleft()
-        iterations += 1
-        if iterations > step_guard:
+        passes += 1
+        if passes > step_guard:
             raise RuntimeError("worklist failed to terminate within the step bound")
 
         result = main_subroutine(ps, branch, cfg)
-        wt_before = branch.weights.total
-        ws_before = _inlier_mass(branch.weights, mask) if cfg.trace else None
-
-        child_ids: list[int] = []
-        pruned_ids: list[int] = []
+        # Kept children take the next ids, then pruned ones, in pass order.
+        ids = tuple(range(next_id, next_id + len(result.children) + len(result.pruned)))
+        next_id += len(ids)
+        kept = len(result.children)
+        step = DriverStep(branch_id, parent_id, ids[:kept], ids[kept:], branch, result)
         if result.hypothesis is not None:
             hypotheses.append(result.hypothesis)
-            if cfg.trace:
-                trace.append(
-                    TraceEvent(
-                        branch_id=branch_id,
-                        parent_id=parent_id,
-                        depth=branch.depth,
-                        tag="certified",
-                        lambda_star=result.eigenpair.value,
-                        wt_before=wt_before,
-                        wt_after=wt_before,
-                        ws_before=ws_before,
-                        ws_after=ws_before,
-                    )
-                )
-        else:
-            for child in result.children:
-                cid = next_id
-                next_id += 1
-                child_ids.append(cid)
-                queue.append((cid, branch_id, child))
-                if cfg.trace:
-                    trace.append(
-                        TraceEvent(
-                            branch_id=cid,
-                            parent_id=branch_id,
-                            depth=branch.depth,
-                            tag=result.outcome.tag,
-                            lambda_star=result.eigenpair.value,
-                            wt_before=wt_before,
-                            wt_after=child.weights.total,
-                            ws_before=ws_before,
-                            ws_after=_inlier_mass(child.weights, mask),
-                        )
-                    )
-            for child in result.pruned:
-                cid = next_id
-                next_id += 1
-                pruned_ids.append(cid)
-                if cfg.trace:
-                    trace.append(
-                        TraceEvent(
-                            branch_id=cid,
-                            parent_id=branch_id,
-                            depth=branch.depth,
-                            tag="pruned",
-                            lambda_star=result.eigenpair.value,
-                            wt_before=wt_before,
-                            wt_after=child.weights.total,
-                            ws_before=ws_before,
-                            ws_after=_inlier_mass(child.weights, mask),
-                        )
-                    )
+        queue.extend(zip(step.child_ids, repeat(branch_id), result.children))
+        if cfg.trace:
+            trace.extend(_trace_events(step, mask))
         if observer is not None:
-            observer(
-                DriverStep(
-                    branch_id=branch_id,
-                    parent_id=parent_id,
-                    child_ids=tuple(child_ids),
-                    pruned_ids=tuple(pruned_ids),
-                    branch=branch,
-                    result=result,
-                )
-            )
+            observer(step)
 
     list_cap = int(4.0 / cfg.alpha**2 + 1e-9)
     if len(hypotheses) > list_cap:

@@ -23,7 +23,7 @@ from .dataio import save_hypotheses_json
 from .driver import list_decode_mean
 from .instances import InstanceSpec, gen_instance, load_outliers
 from .listreduce import ReduceConfig, reduce_list
-from .report import Report, evaluate, summarize_trace, write_trace_csv
+from .report import Report, TreeCounts, evaluate, write_trace_csv
 
 
 def load_config(path) -> dict:
@@ -32,6 +32,14 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
     return cfg
+
+
+def _section(cls, raw: dict, name: str):
+    """cls built from one config section; an unknown field is an error."""
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"{sorted(unknown)[0]}: unknown {name} field")
+    return cls(**raw)
 
 
 def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict]:
@@ -43,20 +51,12 @@ def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict
     run_raw.setdefault("alpha", spec.alpha)
     run_raw.setdefault("sigma", spec.sigma)
     run_raw.setdefault("seed", spec.seed)
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(run_raw) - known
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown run field")
-    run_cfg = RunConfig(**run_raw)
+    run_cfg = _section(RunConfig, run_raw, "run")
 
     red_raw = dict(cfg.get("reduce", {}))
     red_raw.setdefault("alpha", run_cfg.alpha)
     red_raw.setdefault("sigma_scale", run_cfg.rescale_factor)
-    known = set(ReduceConfig.__dataclass_fields__)
-    unknown = set(red_raw) - known
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown reduce field")
-    red_cfg = ReduceConfig(**red_raw)
+    red_cfg = _section(ReduceConfig, red_raw, "reduce")
 
     output = dict(cfg.get("output", {}))
     return spec, run_cfg, red_cfg, output
@@ -87,35 +87,26 @@ def run_experiment(
 
     start = time.perf_counter()
     points, mask, true_mean = gen_instance(spec, outliers)
-    hyps, trace = list_decode_mean(points, run_cfg, inlier_mask=mask)
+    counts = TreeCounts()
+    hyps, trace = list_decode_mean(points, run_cfg, inlier_mask=mask, observer=counts)
     reduced = reduce_list(hyps, red_cfg)
 
     full_eval = evaluate(hyps, true_mean) if len(hyps) else {}
     red_eval = evaluate(reduced, true_mean) if len(reduced) else {}
     wall = time.perf_counter() - start
 
-    # Every processed branch emits either one certified event or a group of
-    # child events sharing its id as parent. Without a trace the counts are
-    # unknown, not zero.
-    if run_cfg.trace:
-        certified = sum(1 for ev in trace if ev.tag == "certified")
-        expanding = len({ev.parent_id for ev in trace if ev.tag != "certified"})
-        iterations = certified + expanding
-        branches = 1 + sum(1 for ev in trace if ev.tag != "certified")
-    else:
-        iterations = branches = None
     report = Report(
         config=_config_echo(spec, run_cfg, red_cfg),
         list_size=len(hyps),
         reduced_list_size=len(reduced),
-        iterations=iterations,
-        branches=branches,
+        iterations=counts.passes,
+        branches=counts.branches,
         min_error=full_eval.get("min_error"),
         best_index=full_eval.get("best_index"),
         reduced_min_error=red_eval.get("min_error"),
         reduction_radius=red_cfg.radius,
         wall_time_s=wall,
-        trace_summary=summarize_trace(trace),
+        trace_summary=counts.summary(),
     )
 
     if output.get("report"):

@@ -201,19 +201,20 @@ def find_split(
 
     Over the sorted supported values u, the lower cut t - R in (u[i], u[i+1]]
     loses the fraction g1[i] below it and the upper cut t + R in
-    (u[j], u[j+1]] loses g2[j] above it. Each cut keeps a clearance of
-    min(gap/4, 1e-9 * (|x| + 1)) from the sample values around it, well above
-    the noise of rebuilding t - R and t + R from (t, R). So the lower cut
-    lies in [lo[i], top[i]] = [u[i] + clearance, u[i+1] - clearance], and
-    the upper cut is put at the highest usable hi[j] = u[j+1] - clearance,
-    which leaves R the most room. Both lo and hi increase, g1 rises with i,
-    g2 falls with j, and the squared-mass sum (1 - g1)^2 + (1 - g2)^2 falls
-    with i and rises with j. When g1[i] is the smaller lost fraction it
-    fixes the least usable R, so the best partner of i is the smallest j
-    whose hi[j] clears lo[i] by 2R (family 1); symmetrically, when g2[j] is
-    smaller, the best partner of j is the largest i (family 2). One binary
-    search per family therefore yields a candidate set that contains an
-    optimal split, O(n log n) in total.
+    (u[j], u[j+1]] loses g2[j] above it. Each cut keeps the same clearance,
+    min(gap/4, 8 ulp(max |u|)), from the sample values on both sides of its
+    gap; eight ulps of the largest magnitude cover the rounding of
+    rebuilding t - R and t + R from (t, R). So the lower cut lies in
+    [lo[i], hi[i]] = [u[i] + clearance, u[i+1] - clearance], and the upper
+    cut is put at the highest usable hi[j], which leaves R the most room.
+    Both lo and hi increase, g1 rises with i, g2 falls with j, and the
+    squared-mass sum (1 - g1)^2 + (1 - g2)^2 falls with i and rises with j.
+    When g1[i] is the smaller lost fraction it fixes the least usable R, so
+    the best partner of i is the smallest j whose hi[j] clears lo[i] by 2R
+    (family 1); symmetrically, when g2[j] is smaller, the best partner of j
+    is the largest i (family 2). One binary search per family therefore
+    yields a candidate set that contains an optimal split, O(n log n) in
+    total.
 
     Only half of each family can win. The lower cut of a feasible split lies
     below its upper cut, so i <= j and g1[i] + g2[j] <= 1. A family-1
@@ -233,7 +234,7 @@ def find_split(
     grid = _cut_grid(p, w.weights, order)
     if grid is None:
         return None
-    u, g1, g2, lo, hi, clear_lo = grid
+    g1, g2, lo, hi = grid
     l48 = 48.0 * np.log2(2.0 / alpha)
 
     m = len(lo)
@@ -253,8 +254,8 @@ def find_split(
             keep = score <= 1.0
             i, j, score = i[keep], j[keep], score[keep]
             gmin = np.minimum(g1[i], g2[j])
-            top = u[i + 1] - clear_lo[i]  # highest usable lower cut in box i
-            r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - top))
+            # hi[i] is the highest usable lower cut in box i.
+            r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - hi[i]))
             r_hi = 0.5 * (hi[j] - lo[i])
             R = 0.5 * (r_lo + r_hi)
             ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
@@ -274,9 +275,9 @@ def _cut_grid(
     """The arrays find_split searches, or None below two supported values.
 
     Gathers the values and weights in the sort order ``order`` and drops
-    zero-weight entries, then returns the sorted unique supported values u,
-    the lost fractions g1 and g2, the usable cuts lo and hi, and the lower
-    cut's clearance. The gathered arrays, group starts and prefix sums die
+    zero-weight entries, then returns, over the gaps between the sorted
+    unique supported values u, the lost fractions g1 and g2 and the usable
+    cuts lo and hi. The gathered arrays, group starts and prefix sums die
     here, so a split search holds few arrays of the support's size at once.
     """
     vals = p[order]
@@ -293,12 +294,8 @@ def _cut_grid(
     g1 = prefix[:-1] / total
     g2 = (total - prefix[:-1]) / total
 
-    gap = np.diff(u)
-    mag_lo = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
-    clear_lo = np.minimum(0.25 * gap, 1e-9 * (mag_lo + 1.0))
-    lo = u[:-1] + clear_lo
-    hi = u[1:] - np.minimum(0.25 * gap, 1e-9 * (np.abs(u[1:]) + 1.0))
-    return u, g1, g2, lo, hi, clear_lo
+    clear = np.minimum(0.25 * np.diff(u), 8.0 * np.spacing(max(-u[0], u[-1])))
+    return g1, g2, u[:-1] + clear, u[1:] - clear
 
 
 def _split_holds(

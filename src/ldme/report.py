@@ -1,14 +1,15 @@
-"""Experiment reports: accuracy metrics, trace summaries, serialization."""
+"""Experiment reports: accuracy metrics, search-tree counts, serialization."""
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
-from .driver import HypothesisList, TraceEvent
+from .driver import DriverStep, HypothesisList, TraceEvent
 
 TRACE_COLUMNS = (
     "branch_id",
@@ -36,39 +37,50 @@ def evaluate(hyps: HypothesisList, true_mean) -> dict:
     return {"min_error": float(dists[best]), "best_index": best}
 
 
-def summarize_trace(events: list[TraceEvent]) -> dict:
-    counts: dict[str, int] = {}
-    max_depth = 0
-    for ev in events:
-        counts[ev.tag] = counts.get(ev.tag, 0) + 1
-        max_depth = max(max_depth, ev.depth)
-    return {"events": len(events), "by_tag": counts, "max_depth": max_depth}
+class TreeCounts:
+    """Observer of the driver's steps that counts the search tree.
+
+    passes counts processed branches, branches the root plus every child
+    created, by_tag the trace events the steps stand for, and max_depth is
+    the deepest processed branch. None of them needs a recorded trace.
+    """
+
+    def __init__(self) -> None:
+        self.passes, self.branches, self.max_depth = 0, 1, 0
+        self.by_tag: Counter[str] = Counter()
+
+    def __call__(self, step: DriverStep) -> None:
+        tag = step.result.outcome.tag
+        self.passes += 1
+        self.branches += len(step.child_ids) + len(step.pruned_ids)
+        self.max_depth = max(self.max_depth, step.branch.depth)
+        if tag == "certified":
+            self.by_tag[tag] += 1
+        else:
+            self.by_tag[tag] += len(step.child_ids)
+            self.by_tag["pruned"] += len(step.pruned_ids)
+
+    def summary(self) -> dict:
+        by_tag = {tag: count for tag, count in self.by_tag.items() if count}
+        events = sum(by_tag.values())
+        return {"events": events, "by_tag": by_tag, "max_depth": self.max_depth}
 
 
 def write_trace_csv(path, events: list[TraceEvent]) -> None:
+    """One row per event in TRACE_COLUMNS order; floats are written at full
+    precision, and inlier masses that were not recorded as empty cells."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for ev in events:
-            writer.writerow(
-                [
-                    ev.branch_id,
-                    ev.parent_id,
-                    ev.depth,
-                    ev.tag,
-                    repr(ev.lambda_star),
-                    repr(ev.wt_before),
-                    repr(ev.wt_after),
-                    "" if ev.ws_before is None else repr(ev.ws_before),
-                    "" if ev.ws_after is None else repr(ev.ws_after),
-                ]
-            )
+        writer.writerows(astuple(ev) for ev in events)
 
 
 @dataclass
 class Report:
     """Final summary of one end-to-end run.
 
+    iterations, branches and trace_summary are the TreeCounts of the run,
+    so they read the same whether or not the trace was recorded.
     wall_time_s covers generation, estimation, reduction and evaluation. In
     a seed sweep it leaves out the outlier file read, which the seeds share.
     """
@@ -76,8 +88,8 @@ class Report:
     config: dict
     list_size: int
     reduced_list_size: int
-    iterations: int | None
-    branches: int | None
+    iterations: int
+    branches: int
     min_error: float | None = None
     best_index: int | None = None
     reduced_min_error: float | None = None
@@ -86,20 +98,9 @@ class Report:
     trace_summary: dict = field(default_factory=dict)
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
-            "config": self.config,
-            "list_size": self.list_size,
-            "reduced_list_size": self.reduced_list_size,
-            "iterations": self.iterations,
-            "branches": self.branches,
-            "min_error": self.min_error,
-            "best_index": self.best_index,
-            "reduced_min_error": self.reduced_min_error,
-            "reduction_radius": self.reduction_radius,
-            "trace_summary": self.trace_summary,
-        }
-        if include_wall_time:
-            out["wall_time_s"] = self.wall_time_s
+        out = asdict(self)
+        if not include_wall_time:
+            del out["wall_time_s"]
         return out
 
     def to_json(self, include_wall_time: bool = True) -> str:

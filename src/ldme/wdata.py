@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_TOL = 1e-9
-DEGENERATE_COV_REL = 1e-12
 # Entries per centered block of the covariance accumulation (512 KiB).
 BLOCK_ELEMENTS = 1 << 16
 
@@ -26,7 +25,7 @@ class PointSet:
     one pass, so building a set holds only the input and one copy.
     """
 
-    __slots__ = ("points", "n", "d", "coord_scale")
+    __slots__ = ("points", "n", "d")
 
     def __init__(self, points, scale: float = 1.0) -> None:
         if scale != 1.0:
@@ -41,20 +40,16 @@ class PointSet:
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {pts.shape}")
         # max and min propagate NaN and +-inf, so they double as the check.
-        hi, lo = float(pts.max()), float(pts.min())
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+        if not (np.isfinite(pts.max()) and np.isfinite(pts.min())):
             raise ValueError("points must have finite coordinates")
         pts.flags.writeable = False
         self.points = pts
         self.n = n
         self.d = d
-        self.coord_scale = max(hi, -lo)
 
     def restrict(self, rows: np.ndarray) -> "PointSet":
-        """The rows at the given integer indices, in that order, as a PointSet
-        that keeps this set's coord_scale.
+        """The rows at the given integer indices, in that order, as a PointSet.
 
-        Degeneracy is then still judged against the scale of the full sample.
         A boolean mask is refused: ``np.take`` would read it as indices 0 and 1.
         """
         rows = np.asarray(rows)
@@ -64,7 +59,6 @@ class PointSet:
         sub.points = np.take(self.points, rows, axis=0)
         sub.points.flags.writeable = False
         sub.n, sub.d = sub.points.shape
-        sub.coord_scale = self.coord_scale
         return sub
 
     def __repr__(self) -> str:
@@ -123,13 +117,11 @@ class EigenPair:
     """Top eigenpair of a weighted covariance.
 
     ``value`` equals the Rayleigh quotient of ``direction`` against the
-    weighted covariance, except in the degenerate zero-covariance case
-    where it is exactly 0.
+    weighted covariance, clipped at 0 from below.
     """
 
     value: float
     direction: np.ndarray
-    degenerate: bool = False
 
 
 def _check_pair(ps: PointSet, w: WeightFn) -> None:
@@ -240,15 +232,11 @@ def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
         w: weights with positive total mass.
 
     Returns:
-        EigenPair; ``degenerate`` is set when the covariance is numerically
-        zero, in which case value is 0 and the direction is an arbitrary
-        unit vector.
+        EigenPair with value max(v'Cov v, 0). When the covariance is zero
+        the value is 0 and the direction an arbitrary unit vector.
     """
     cov = _weighted_cov(ps, w)
     v = np.linalg.eigh(cov)[1][:, -1].copy()
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    value = max(float(v @ cov @ v), 0.0)
-    if value <= DEGENERATE_COV_REL * ps.coord_scale**2:
-        return EigenPair(value=0.0, direction=v, degenerate=True)
-    return EigenPair(value=value, direction=v, degenerate=False)
+    return EigenPair(value=max(float(v @ cov @ v), 0.0), direction=v)

@@ -124,18 +124,15 @@ def split_feasible_bruteforce(projections, weights, alpha, slack=0.0) -> bool:
 
 
 def split_best_score_bruteforce(projections, weights, alpha) -> float | None:
-    """Smallest squared-mass sum (1 - g1)^2 + (1 - g2)^2 over feasible splits
-    whose cuts keep their clearance from the sample values, or None.
+    """Smallest squared-mass sum (1 - g1)^2 + (1 - g2)^2 over feasible
+    splits, or None.
 
     The lower cut lies between consecutive supported values u[i] < u[i+1]
     and loses the weight fraction g1 at or below u[i]; the upper cut lies
-    between u[j] < u[j+1] and loses g2 above u[j]. A cut stays
-    min(gap/4, 1e-9 * (|x| + 1)) away from the two values around it, where
-    gap is their distance and |x| is the larger of their magnitudes for the
-    lower cut and |u[j+1]| for the upper cut. The largest usable half-overlap
-    is half the distance between the lowest lower cut and the highest upper
-    cut; the pair is feasible when the loss condition holds strictly below
-    it and the squared-mass sum is at most 1.
+    between u[j] < u[j+1] and loses g2 above u[j]. No clearance is kept, so
+    the supremum of the half-overlap is (u[j+1] - u[i]) / 2; the pair is
+    feasible when the loss condition holds strictly below it and the
+    squared-mass sum is at most 1.
     """
     proj = np.asarray(projections, dtype=float)
     wts = np.asarray(weights, dtype=float)
@@ -146,13 +143,9 @@ def split_best_score_bruteforce(projections, weights, alpha) -> float | None:
     best = None
     for i in range(len(u) - 1):
         g1 = float(wts[proj <= u[i]].sum()) / total
-        mag = max(abs(u[i]), abs(u[i + 1]))
-        lowest_cut = u[i] + min(0.25 * (u[i + 1] - u[i]), 1e-9 * (mag + 1.0))
         for j in range(len(u) - 1):
             g2 = float(wts[proj > u[j]].sum()) / total
-            mag = abs(u[j + 1])
-            highest_cut = u[j + 1] - min(0.25 * (u[j + 1] - u[j]), 1e-9 * (mag + 1.0))
-            rsup = (highest_cut - lowest_cut) / 2.0
+            rsup = (u[j + 1] - u[i]) / 2.0
             gmin = min(g1, g2)
             if rsup <= 0.0 or gmin <= 0.0 or not gmin > l48 / (rsup * rsup):
                 continue
@@ -220,9 +213,9 @@ def find_split_both_families(projections, weights, alpha) -> tuple[float, float]
     This is the vectorized search ``find_split`` narrows to the half of each
     family that can win: family 1 pairs every lower cut i with its smallest
     usable upper cut, family 2 every upper cut j with its largest usable
-    lower cut, and family 1 wins on equal scores. Cuts keep the clearance
-    described in ``split_best_score_bruteforce``; the chosen split is
-    re-checked on the realized halves.
+    lower cut, and family 1 wins on equal scores. Both cuts of a gap keep
+    the clearance min(gap/4, 8 ulp(max |u|)) from the values around it; the
+    chosen split is re-checked on the realized halves.
     """
     proj = np.asarray(projections, dtype=float)
     wts = np.asarray(weights, dtype=float)
@@ -238,11 +231,9 @@ def find_split_both_families(projections, weights, alpha) -> tuple[float, float]
     total = float(prefix[-1])
     g1 = prefix[:-1] / total
     g2 = (total - prefix[:-1]) / total
-    gap = np.diff(u)
-    mag_lo = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
-    clear_lo = np.minimum(0.25 * gap, 1e-9 * (mag_lo + 1.0))
-    lo = u[:-1] + clear_lo
-    hi = u[1:] - np.minimum(0.25 * gap, 1e-9 * (np.abs(u[1:]) + 1.0))
+    clear = np.minimum(0.25 * np.diff(u), 8.0 * np.spacing(np.abs(u).max()))
+    lo = u[:-1] + clear
+    hi = u[1:] - clear
     l48 = 48.0 * np.log2(2.0 / alpha)
 
     idx = np.arange(len(lo))
@@ -257,8 +248,7 @@ def find_split_both_families(projections, weights, alpha) -> tuple[float, float]
             keep = score <= 1.0
             i, j, score = i[keep], j[keep], score[keep]
             gmin = np.minimum(g1[i], g2[j])
-            top = u[i + 1] - clear_lo[i]
-            r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - top))
+            r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - hi[i]))
             r_hi = 0.5 * (hi[j] - lo[i])
             R = 0.5 * (r_lo + r_hi)
             ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))

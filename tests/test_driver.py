@@ -219,6 +219,28 @@ class TestListDecodeMean:
         assert audit.max_depth <= 1500
         assert len(hyps) <= 4 / 0.15**2
 
+    def test_certified_lambda_star_survives_a_large_offset(self):
+        # lambda_star is reported as computed, so a common offset of 1e9
+        # moves the certified branches' top eigenvalues by rounding only.
+        spec = InstanceSpec(
+            n=4000, d=10, alpha=0.1, adversary="line_clusters", decoys=9,
+            separation=600.0, seed=3,
+        )
+        pts, _, _ = gen_instance(spec)
+        cfg = RunConfig(alpha=0.1, trace=False)
+
+        def certified_lambdas(offset):
+            steps = []
+            list_decode_mean(pts + offset, cfg, observer=steps.append)
+            return np.array([
+                st.result.eigenpair.value for st in steps
+                if st.result.outcome.tag == "certified"
+            ])
+
+        want = certified_lambdas(0.0)
+        assert len(want) >= 2 and (want > 0.1).all()
+        np.testing.assert_allclose(certified_lambdas(1e9), want, rtol=1e-6)
+
     def test_mask_shape_validated(self):
         cfg = RunConfig(alpha=0.3)
         with pytest.raises(ValueError):
@@ -337,19 +359,6 @@ class TestSupportLocalPass:
         assert seen == {
             ("reweighted", True), ("reweighted", False), ("split", True), ("split", False)
         }
-
-    def test_degenerate_threshold_uses_full_scale(self):
-        # The supported rows vary by about 3e-5, far below 1e-6 of the full
-        # set's scale of 1e3 squared but not of their own scale.
-        rng = np.random.default_rng(45)
-        pts = np.vstack([1.0 + rng.normal(size=(10, 2)) * 3e-5, [[1e3, 0.0]] * 10])
-        ps = PointSet(pts)
-        branch = BranchState(
-            weights=WeightFn(np.r_[np.ones(10), np.zeros(10)]), depth=0, lineage=()
-        )
-        res = main_subroutine(ps, branch, RunConfig(alpha=0.2, scale_c=1.0))
-        assert res.eigenpair.degenerate
-        assert res.hypothesis is not None
 
     def test_infeasible_split_counts_supported_rows(self):
         spec = InstanceSpec(

@@ -70,7 +70,7 @@ class TestFindSplit:
                 assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R)
         assert feasible_seen >= 30  # the comparison must not be vacuous
 
-    @pytest.mark.parametrize("off", [0.0, 1e6])
+    @pytest.mark.parametrize("off", [0.0, 1e6, 1e9])
     def test_takes_most_balanced_split(self, off):
         # The tree shape depends on which feasible split is taken: the one
         # with the smallest squared-mass sum of the two halves.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ldme import HypothesisList, TraceEvent, evaluate, summarize_trace, write_trace_csv
+from ldme import HypothesisList, TraceEvent, evaluate, write_trace_csv
 from oracles import min_error_naive
 
 
@@ -44,14 +44,3 @@ def test_trace_csv_columns(tmp_path):
     assert lines[1].startswith("0,-1,0,certified,1.5,10.0,10.0,4.0,4.0")
     assert lines[2].endswith(",,")  # inlier columns empty without a mask
 
-
-def test_summarize_trace():
-    events = [
-        TraceEvent(1, 0, 0, "split", 1.0, 10.0, 6.0),
-        TraceEvent(2, 0, 0, "split", 1.0, 10.0, 5.0),
-        TraceEvent(1, 0, 1, "certified", 0.5, 6.0, 6.0),
-    ]
-    out = summarize_trace(events)
-    assert out["events"] == 3
-    assert out["by_tag"] == {"split": 2, "certified": 1}
-    assert out["max_depth"] == 1

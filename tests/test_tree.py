@@ -1,0 +1,170 @@
+"""The search tree as the driver's per-pass records describe it.
+
+The trace, the observer's steps and the report's counts are three views of
+one record per processed branch. These tests pin the trace and report
+bytes, check that the counts do not depend on whether a trace is recorded,
+and check the tree's shape on small drawn instances.
+"""
+
+import hashlib
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ldme import (
+    InfeasibleSplit,
+    InstanceSpec,
+    RunConfig,
+    TreeCounts,
+    gen_instance,
+    list_decode_mean,
+    run_experiment,
+    write_trace_csv,
+)
+
+# Three instances whose trees certify, reweight, split and prune, none with
+# a zero lambda_star: each is generated, then ``junk`` of its outlier rows
+# are moved far out. The digests were taken when the trace was still built
+# apart from the observer's steps; they hold for numpy 2.4 on x86-64, and
+# another BLAS may round the eigensolve differently.
+PINNED = {
+    "line_clusters": (
+        dict(n=1200, d=6, alpha=0.15, adversary="line_clusters", decoys=4,
+             separation=300.0, mean_radius=5.0, seed=21),
+        12,
+        (
+            "be4449bad6880469a1172cb0895a0a8cdb3444b34c0bcea90036105ed5089a32",
+            "7037eaa8da3e902c1366562a0063ee3ec927a936256b625c5f484bb68726b04a",
+            "95bc2ddb7ec9f65ecb2d4e1e7c99784b645e750e4a27976f4c82283bf1958b91",
+        ),
+    ),
+    "decoy_clusters": (
+        dict(n=900, d=8, alpha=0.2, adversary="decoy_clusters", decoys=4,
+             separation=400.0, mean_radius=5.0, seed=22),
+        9,
+        (
+            "7e773a755959be581137dd18eb502e09e4cf28f5f2820f2a442e82bbedcded32",
+            "cf1fa8ddd98912a47ba9f1f547d477f28ab69e8b92aa70369253dc5798ac59e2",
+            "d6cb3044069f42ec82ee63a67a6e0f8fcac8d6f14112307aa53506ed90ef47cf",
+        ),
+    ),
+    "uniform_noise": (
+        dict(n=1000, d=2, alpha=0.2, adversary="uniform_noise",
+             noise_radius=3000.0, seed=23),
+        0,
+        (
+            "307ea9f5707ce85f99188b2aa0f97dfe722762bbfd6279038839deb3e144bd56",
+            "cad794c444caf7f26765211e3541f55247b177ff88def217389bb54e6c92f3ea",
+            "2edf42f603e4815245a8b40018b777b9e89be2943208a8c1a80d40675abd36d9",
+        ),
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def pinned_input(instance: dict, junk: int):
+    """Points, inlier mask and true mean of one pinned instance."""
+    spec = InstanceSpec(**instance)
+    points, mask, true_mean = gen_instance(spec)
+    rng = np.random.default_rng(spec.seed)
+    rows = rng.choice(np.flatnonzero(~mask), junk, replace=False)
+    points[rows] = rng.uniform(-5000.0, 5000.0, (junk, spec.d))
+    return points, mask, true_mean
+
+
+def pinned_report(instance: dict, junk: int, trace: bool = True):
+    """run_experiment on fresh inliers around the same mean beside the
+    pinned instance's outlier rows, passed in as the file adversary's."""
+    points, mask, true_mean = pinned_input(instance, junk)
+    config = {
+        "instance": dict(
+            instance, adversary="file", outlier_file="outliers.csv",
+            true_mean=true_mean.tolist(),
+        ),
+        "run": {"trace": trace},
+    }
+    return run_experiment(config, points[~mask])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_trace_and_report_bytes_are_pinned(name, tmp_path):
+    instance, junk, want = PINNED[name]
+    points, mask, _ = pinned_input(instance, junk)
+    cfg = RunConfig(alpha=instance["alpha"], seed=instance["seed"])
+    got = []
+    for inlier_mask in (mask, None):
+        _, trace = list_decode_mean(points, cfg, inlier_mask=inlier_mask)
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        got.append(_sha((tmp_path / "trace.csv").read_bytes()))
+    report = pinned_report(instance, junk)
+    got.append(_sha(report.to_json(include_wall_time=False).encode()))
+    assert tuple(got) == want
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_counts_do_not_need_the_trace(name):
+    instance, junk, _ = PINNED[name]
+    on = pinned_report(instance, junk, trace=True)
+    off = pinned_report(instance, junk, trace=False)
+    assert (off.iterations, off.branches) == (on.iterations, on.branches)
+    assert off.trace_summary == on.trace_summary
+    assert on.trace_summary["events"] >= on.iterations >= 1
+
+
+@st.composite
+def small_instances(draw):
+    """A normal cluster with a share of rows moved 400 away, optionally
+    resampled with repeats; d > n and n = 1 are in reach."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, d))
+    far = rng.random(n) < draw(st.floats(0.0, 0.8))
+    pts[far] += rng.choice([-1.0, 1.0], size=(int(far.sum()), 1)) * 400.0
+    if draw(st.booleans()):
+        pts = pts[rng.integers(0, n, n)]  # duplicate rows
+    return pts, draw(st.floats(0.1, 0.45))
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(small_instances())
+def test_tree_shape_matches_its_records(instance):
+    pts, alpha = instance
+    cfg = RunConfig(alpha=alpha, scale_c=1.0)
+    steps = []
+    counts = TreeCounts()
+
+    def observer(step):
+        steps.append(step)
+        counts(step)
+
+    try:
+        hyps, trace = list_decode_mean(pts, cfg, observer=observer)
+    except InfeasibleSplit:
+        return
+    processed = [step.branch_id for step in steps]
+    assert len(set(processed)) == len(processed)
+    created = [i for step in steps for i in step.child_ids + step.pruned_ids]
+    assert len(set(created + [0])) == len(created) + 1
+    assert {step.parent_id for step in steps} - {-1} <= set(processed)
+    assert {ev.parent_id for ev in trace} - {-1} <= set(processed)
+    assert sum(ev.tag == "certified" for ev in trace) == len(hyps)
+
+    assert counts.passes == len(steps)
+    assert counts.branches == 1 + len(created)
+    assert counts.summary() == {
+        "events": len(trace),
+        "by_tag": dict(Counter(ev.tag for ev in trace)),
+        "max_depth": max(ev.depth for ev in trace),
+    }
