@@ -1,17 +1,18 @@
 """Worklist driver: rescale, filter branches to exhaustion, collect means.
 
-Branches carry weight functions over one shared immutable point set. Each
-branch is processed by one spectral filtering pass on its support, along the
-top eigendirection of its weighted covariance; certified branches contribute
-their weighted mean to the hypothesis list, reweighted and split branches
-re-enter the FIFO worklist unless their total mass falls below alpha*n/2.
+Branches carry positive weights on their support, a set of rows of one
+shared immutable point set. Each branch is processed by one spectral
+filtering pass on its support, along the top eigendirection of its weighted
+covariance; certified branches contribute their weighted mean to the
+hypothesis list, reweighted and split branches re-enter the FIFO worklist
+unless their total mass falls below alpha*n/2.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
@@ -37,11 +38,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BranchState:
-    """One live node of the search tree."""
+    """One live node of the search tree: positive weights on its support.
+
+    rows holds the row indices of the support into the rescaled PointSet
+    and weights one positive weight per row; rows=None stands for every row
+    in input order, as at the root. sorted_along is the direction along
+    which the rows' projections ascend, or None. A pass along that same
+    direction, bit for bit, needs no sort.
+    """
 
     weights: WeightFn
     depth: int
     lineage: tuple[str, ...]
+    rows: np.ndarray | None = None
+    sorted_along: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -134,54 +144,52 @@ def postprocess_unscale(hyps: HypothesisList, cfg: RunConfig) -> HypothesisList:
 def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> SubroutineResult:
     """Process one branch: eigendirection, filtering pass, prune children.
 
-    The pass runs on the branch's support. The indices of the rows with
-    positive weight are found once per pass; they gather those rows and
-    their weights (not at all when every row has positive weight), so the
-    eigensolve and the filtering pass scale with |supp|, not n, and they
-    scatter the children's weights back to full length over ps. Gathered
-    and scattered weights are fresh arrays that their WeightFn takes over
-    without a further copy.
+    The pass runs on the branch's support: it gathers the rows of ps at
+    branch.rows (the root, with rows=None, uses ps as it is), so the
+    eigensolve and the filtering pass scale with |supp|, not n. A branch
+    built by a caller with rows=None and some zero weights first drops those
+    rows. The filter sorts the projections unless the top direction is the
+    one the rows already ascend along (always so in 1-D after the root), and
+    the children keep that ascending order: each carries the rows and
+    weights of its own support, as the filter found them, and the direction.
 
-    On a certified pass the weighted mean of the branch (in the rescaled
-    coordinates of ps) is returned as the hypothesis. Otherwise the
+    On a certified pass the weighted mean of the branch's support (in the
+    rescaled coordinates of ps) is returned as the hypothesis. Otherwise the
     surviving children are those with total mass >= alpha*n/2.
     """
-    rows = np.flatnonzero(branch.weights.weights > 0.0)
-    local = len(rows) < ps.n
-    sub_ps = ps.restrict(rows) if local else ps
-    sub_w = WeightFn._own(branch.weights.weights[rows]) if local else branch.weights
-    eig = approx_top_eigenpair(sub_ps, sub_w)
+    rows, w = branch.rows, branch.weights
+    if rows is None and not w.weights.min() > 0.0:
+        rows = np.flatnonzero(w.weights > 0.0)
+        w = WeightFn._own(w.weights[rows])
+    sub_ps = ps if rows is None else ps.restrict(rows)
+    eig = approx_top_eigenpair(sub_ps, w)
     try:
-        outcome = basic_multifilter(sub_ps, sub_w, eig.direction, cfg.alpha, cfg)
+        outcome = basic_multifilter(
+            sub_ps, w, eig.direction, cfg.alpha, cfg, branch.sorted_along
+        )
     except InfeasibleSplit as err:
         err.details["lineage"] = branch.lineage
         err.details["depth"] = branch.depth
         raise
     if outcome.tag == "certified":
-        return SubroutineResult(weighted_mean(ps, branch.weights), (), (), outcome, eig)
-    if local:
-        outcome = replace(
-            outcome, children=tuple(_scatter(wf, rows, ps.n) for wf in outcome.children)
-        )
+        return SubroutineResult(weighted_mean(sub_ps, w), (), (), outcome, eig)
     floor = cfg.alpha * ps.n / 2.0
     lineage = branch.lineage + (outcome.tag,)
-    children = [BranchState(wf, branch.depth + 1, lineage) for wf in outcome.children]
+    children = [
+        BranchState(wf, branch.depth + 1, lineage,
+                    rows=at if rows is None else rows[at], sorted_along=eig.direction)
+        for wf, at in zip(outcome.children, outcome.rows)
+    ]
     kept = tuple(child for child in children if child.weights.total >= floor)
     pruned = tuple(child for child in children if not child.weights.total >= floor)
     return SubroutineResult(None, kept, pruned, outcome, eig)
 
 
-def _scatter(wf: WeightFn, rows: np.ndarray, n: int) -> WeightFn:
-    """Length-n weights that are wf at the given rows and zero elsewhere."""
-    full = np.zeros(n)
-    full[rows] = wf.weights
-    return WeightFn._own(full)
-
-
-def _inlier_mass(wf: WeightFn, mask: np.ndarray | None) -> float | None:
+def _inlier_mass(branch: BranchState, mask: np.ndarray | None) -> float | None:
     if mask is None:
         return None
-    return float(wf.weights[mask].sum())
+    w = branch.weights.weights
+    return float((w[mask] if branch.rows is None else w[mask[branch.rows]]).sum())
 
 
 def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]:
@@ -191,20 +199,19 @@ def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]
     gives one event per child, kept ones under the pass's tag and pruned
     ones under "pruned", each named by the child's id.
     """
-    res, parent = step.result, step.branch.weights
+    res, parent = step.result, step.branch
     lam, ws_before = res.eigenpair.value, _inlier_mass(parent, mask)
-    # Each row: the event's branch id, its parent id, tag, weights after.
+    # Each event: its branch id, its parent id, tag, the branch after.
     if res.hypothesis is not None:
-        rows = [(step.branch_id, step.parent_id, "certified", parent)]
+        events = [(step.branch_id, step.parent_id, "certified", parent)]
     else:
         tags = (res.outcome.tag,) * len(res.children) + ("pruned",) * len(res.pruned)
-        children = [child.weights for child in res.children + res.pruned]
         ids = step.child_ids + step.pruned_ids
-        rows = zip(ids, repeat(step.branch_id), tags, children)
+        events = zip(ids, repeat(step.branch_id), tags, res.children + res.pruned)
     return [
-        TraceEvent(bid, pid, step.branch.depth, tag, lam, parent.total, wf.total,
-                   ws_before, _inlier_mass(wf, mask))
-        for bid, pid, tag, wf in rows
+        TraceEvent(bid, pid, parent.depth, tag, lam, parent.weights.total,
+                   after.weights.total, ws_before, _inlier_mass(after, mask))
+        for bid, pid, tag, after in events
     ]
 
 

@@ -83,25 +83,29 @@ class MultifilterOutcome:
 
     tag is "certified" (no children), "reweighted" (one child weight
     function) or "split" (two children plus the split parameters used).
+    Children are support-local: children[i] weights the points at the row
+    indices rows[i] of the pass's point set, listed in ascending order of
+    their projections.
     """
 
     tag: str
     children: tuple[WeightFn, ...] = ()
     split_params: SplitParams | None = None
+    rows: tuple[np.ndarray, ...] = ()
 
     @classmethod
     def certified(cls) -> "MultifilterOutcome":
         return cls(tag="certified")
 
     @classmethod
-    def reweighted(cls, new_weights: WeightFn) -> "MultifilterOutcome":
-        return cls(tag="reweighted", children=(new_weights,))
+    def reweighted(cls, new_weights: WeightFn, rows: np.ndarray) -> "MultifilterOutcome":
+        return cls(tag="reweighted", children=(new_weights,), rows=(rows,))
 
     @classmethod
     def split(
-        cls, left: WeightFn, right: WeightFn, params: SplitParams
+        cls, left: WeightFn, right: WeightFn, params: SplitParams, rows: tuple
     ) -> "MultifilterOutcome":
-        return cls(tag="split", children=(left, right), split_params=params)
+        return cls(tag="split", children=(left, right), split_params=params, rows=rows)
 
 
 def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float) -> np.ndarray:
@@ -128,20 +132,22 @@ def quantile_interval(
     tied value gives the same endpoint, and the sort need not be stable.
     Sort plus prefix sums, O(n log n).
 
-    ``order`` is an argsort of the projections that the caller already
-    holds; without it the function sorts for itself.
+    ``order`` puts the projections in ascending order: an argsort that the
+    caller already holds, or ``slice(None)`` when they already ascend;
+    without it the function sorts for itself.
     """
     p = _check_inputs(projections, w, alpha)
     tau = alpha * w.total / 8.0
 
     if order is None:
         order = np.argsort(p)
+    vals = p[order]
     cum = np.cumsum(w.weights[order])
     ja = int(np.searchsorted(cum[:-1], tau, side="right"))
     above = w.total - cum
     above[-1] = 0.0  # exact by definition; shields cumsum round-off
     jb = int(np.argmax(above <= tau))
-    return Interval(float(p[order[ja]]), float(p[order[jb]]))
+    return Interval(float(vals[ja]), float(vals[jb]))
 
 
 def truncated_variance(projections: np.ndarray, w: WeightFn, window: Interval) -> float:
@@ -224,9 +230,10 @@ def find_split(
     of i with g1 <= 1/2 and family 2 over the suffix of j with g2 <= 1/2.
     On equal scores family 1 wins.
 
-    ``order`` is an argsort of the projections that the caller already
-    holds (basic_multifilter shares one with quantile_interval); without it
-    the function sorts for itself.
+    ``order`` puts the projections in ascending order, as for
+    quantile_interval: an argsort that the caller already holds, or
+    ``slice(None)`` when they already ascend (as in basic_multifilter);
+    without it the function sorts for itself.
     """
     p = _check_inputs(projections, w, alpha)
     if order is None:
@@ -274,7 +281,7 @@ def _cut_grid(
 ) -> tuple[np.ndarray, ...] | None:
     """The arrays find_split searches, or None below two supported values.
 
-    Gathers the values and weights in the sort order ``order`` and drops
+    Takes the values and weights in the sort order ``order`` and drops
     zero-weight entries, then returns, over the gaps between the sorted
     unique supported values u, the lost fractions g1 and g2 and the usable
     cuts lo and hi. The gathered arrays, group starts and prefix sums die
@@ -315,6 +322,7 @@ def basic_multifilter(
     v: np.ndarray,
     alpha: float,
     cfg: RunConfig,
+    sorted_along: np.ndarray | None = None,
 ) -> MultifilterOutcome:
     """Run one filtering pass along the unit direction v.
 
@@ -322,6 +330,14 @@ def basic_multifilter(
     the doubled interval is at most big_c * lg(2/alpha)^2, either certifies
     (full weighted variance at most twice that) or softly downweights by
     distance from I. Otherwise splits the weights via find_split.
+
+    The pass works in ascending order of the projections. ``sorted_along``
+    is the direction the rows of ps already ascend along, if the caller
+    knows one. When v equals it bit for bit, the projections ascend as
+    given, since each row is projected on its own, and the pass does not
+    sort; otherwise it sorts them once. The children keep that order (see
+    MultifilterOutcome): a split child is the prefix {x < t + R} or the
+    suffix {x >= t - R}, and the reweighted child drops the rows it zeroes.
 
     Raises:
         InfeasibleSplit: the variance gate tripped but no feasible split
@@ -333,15 +349,22 @@ def basic_multifilter(
     proj = project(ps, v)
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    order = np.argsort(proj)  # shared by the quantile interval and the split search
-    interval = quantile_interval(proj, w, alpha, order)
+    if sorted_along is not None and np.array_equal(v, sorted_along):
+        order = np.arange(ps.n)
+    else:
+        order = np.argsort(proj)
+        proj, w = proj[order], WeightFn._own(w.weights[order])
+    ascending = slice(None)  # shared by the quantile interval and the split search
+    interval = quantile_interval(proj, w, alpha, ascending)
     lg = np.log2(2.0 / alpha)
     gate = cfg.big_c * lg * lg
     if truncated_variance(proj, w, interval.doubled()) <= gate:
         if weighted_variance(proj, w) <= 2.0 * gate:
             return MultifilterOutcome.certified()
-        return MultifilterOutcome.reweighted(soft_downweight(proj, w, interval))
-    sp = find_split(proj, w, alpha, order)
+        new = soft_downweight(proj, w, interval).weights
+        keep = new > 0.0
+        return MultifilterOutcome.reweighted(WeightFn._own(new[keep]), order[keep])
+    sp = find_split(proj, w, alpha, ascending)
     if sp is None:
         raise InfeasibleSplit(
             "no feasible split at a point where one is required",
@@ -353,8 +376,8 @@ def basic_multifilter(
                 "variance_gate": gate,
             },
         )
-    lo = sp.t - sp.R
-    hi = sp.t + sp.R
-    right = WeightFn._own(np.where(proj >= lo, w.weights, 0.0))
-    left = WeightFn._own(np.where(proj < hi, w.weights, 0.0))
-    return MultifilterOutcome.split(right, left, sp)
+    # Ascending projections make {x >= t - R} a suffix and {x < t + R} a prefix.
+    lo, hi = np.searchsorted(proj, (sp.t - sp.R, sp.t + sp.R))
+    right = WeightFn._own(w.weights[lo:].copy())
+    left = WeightFn._own(w.weights[:hi].copy())
+    return MultifilterOutcome.split(right, left, sp, (order[lo:].copy(), order[:hi].copy()))

@@ -3,7 +3,9 @@
 run_audited wraps list_decode_mean with an observer that re-verifies, at
 every processed branch: certificate soundness, both split conditions from
 the raw weights, pointwise weight monotonicity, progress (a positive weight
-zeroed per child), the depth bound, and the frontier potential. Violations
+zeroed per child), the depth bound, the frontier potential, and that every
+branch carries one positive weight per row of its support. Branches are
+support-local; the audit scatters their weights to full length. Violations
 are collected as strings so a test can assert the list is empty.
 """
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from ldme import (
     RunConfig,
+    WeightFn,
     list_decode_mean,
     preprocess_rescale,
     weighted_variance_along,
@@ -35,6 +38,16 @@ class RunAudit:
     max_potential: float = 0.0
 
 
+def scatter(weights, rows, n: int) -> np.ndarray:
+    """Support-local weights as a length-n array, zero off the given rows;
+    rows=None stands for all n rows in order."""
+    if rows is None:
+        return weights.weights
+    full = np.zeros(n)
+    full[rows] = weights.weights
+    return full
+
+
 def run_audited(points, cfg: RunConfig, inlier_mask=None):
     """Run list_decode_mean under a full invariant audit."""
     audit = RunAudit()
@@ -50,11 +63,15 @@ def run_audited(points, cfg: RunConfig, inlier_mask=None):
     def observer(step) -> None:
         branch = step.branch
         res = step.result
-        w = branch.weights
+        w = WeightFn(scatter(branch.weights, branch.rows, n))
         v = res.eigenpair.direction
         audit.max_depth = max(audit.max_depth, branch.depth)
         if branch.depth > n:
             audit.violations.append(f"depth {branch.depth} exceeds n={n}")
+        for b in (branch,) + res.children + res.pruned:
+            size = n if b.rows is None else len(b.rows)
+            if len(b.weights) != size or not (b.weights.weights > 0.0).all():
+                audit.violations.append("branch weights are not positive on its rows")
 
         nonlocal done_sq
         live.pop(step.branch_id, None)
@@ -68,8 +85,8 @@ def run_audited(points, cfg: RunConfig, inlier_mask=None):
                 )
             done_sq += w.total**2
         else:
-            for child_wf in res.outcome.children:
-                cw = child_wf.weights
+            for child in res.children + res.pruned:
+                cw = scatter(child.weights, child.rows, n)
                 if (cw > w.weights + 1e-15).any():
                     audit.violations.append("child weight exceeds parent weight")
                 if ((cw < 0.0) | (cw > 1.0)).any():

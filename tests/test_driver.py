@@ -21,7 +21,7 @@ from ldme import (
     preprocess_rescale,
     weighted_mean,
 )
-from auditing import run_audited
+from auditing import run_audited, scatter
 from oracles import min_error_naive
 
 
@@ -307,25 +307,29 @@ class TestSupportLocalPass:
         list_decode_mean(pts, cfg, observer=steps.append)
         sparse = [
             st.branch for st in steps
-            if (st.branch.weights.weights == 0.0).mean() >= 0.5
+            if len(st.branch.weights) <= ps.n / 2
             and st.result.outcome.tag != "certified"
         ]
         assert len(sparse) >= 5
         tags = set()
         for branch in sparse:
             res = main_subroutine(ps, branch, cfg)
+            weights = scatter(branch.weights, branch.rows, ps.n)
             full = basic_multifilter(
-                ps, branch.weights, res.eigenpair.direction, cfg.alpha, cfg
+                ps, WeightFn(weights), res.eigenpair.direction, cfg.alpha, cfg
             )
             tags.add(res.outcome.tag)
             assert res.outcome.tag == full.tag
             assert res.outcome.split_params == full.split_params
-            off_support = branch.weights.weights == 0.0
-            for got, want in zip(res.outcome.children, full.children, strict=True):
-                assert got.weights.shape == (ps.n,)
-                assert not got.weights[off_support].any()
-                np.testing.assert_array_equal(got.weights, want.weights)
-                assert got.total == want.total
+            # The branches in the filter's order of children.
+            kids = {id(child.weights): child for child in res.children + res.pruned}
+            kids = [kids[id(wf)] for wf in res.outcome.children]
+            for child, want, at in zip(kids, full.children, full.rows, strict=True):
+                assert len(child.weights) == len(child.rows)
+                got = scatter(child.weights, child.rows, ps.n)
+                assert not got[weights == 0.0].any()
+                np.testing.assert_array_equal(got, scatter(want, at, ps.n))
+                assert child.weights.total == pytest.approx(want.total, rel=1e-12)
         assert tags == {"reweighted", "split"}
 
     def test_children_share_no_memory_with_the_parent(self):
@@ -347,15 +351,17 @@ class TestSupportLocalPass:
         cases.append((root, main_subroutine(PointSet(cloud), root, cfg)))
         seen = set()
         for branch, res in cases:
-            parent = branch.weights.weights
-            full = bool((parent > 0.0).all())
-            children = [c.weights.weights for c in res.children + res.pruned]
+            full = branch.rows is None
+            children = res.children + res.pruned
             if children:
                 seen.add((res.outcome.tag, full))
-            for i, child in enumerate(children):
-                assert child.shape == parent.shape and not child.flags.writeable
-                assert not np.shares_memory(child, parent)
-                assert not any(np.shares_memory(child, c) for c in children[i + 1 :])
+            # The parent's arrays, then each child's rows and weights.
+            arrays = [branch.weights.weights] + ([] if full else [branch.rows])
+            for child in children:
+                w, rows = child.weights.weights, child.rows
+                assert w.shape == rows.shape and not w.flags.writeable
+                assert not any(np.shares_memory(a, b) for a in (w, rows) for b in arrays)
+                arrays += [w, rows]
         assert seen == {
             ("reweighted", True), ("reweighted", False), ("split", True), ("split", False)
         }
@@ -374,6 +380,56 @@ class TestSupportLocalPass:
         with pytest.raises(InfeasibleSplit) as exc:
             main_subroutine(ps, branch, cfg)
         assert exc.value.details["supported"] == 400
+
+
+def junk_instance(n, d, seed):
+    """Line clusters with 1% of the outliers moved far out, so the tree
+    reweights as well as splits."""
+    spec = InstanceSpec(
+        n=n, d=d, alpha=0.2, adversary="line_clusters", decoys=4,
+        separation=400.0, mean_radius=25.0, seed=seed,
+    )
+    pts, mask, _ = gen_instance(spec)
+    rng = np.random.default_rng(seed)
+    junk = rng.choice(np.flatnonzero(~mask), n // 100, replace=False)
+    pts[junk] = rng.uniform(-5000.0, 5000.0, (len(junk), d))
+    return pts
+
+
+class TestSortedBranches:
+    """Branches past the root carry their support in ascending order of
+    their parent's direction, so a pass along that direction sorts nothing."""
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_one_sort_per_run_in_1d_and_per_pass_otherwise(self, monkeypatch, d):
+        pts = junk_instance(4000, d, seed=51)
+        sorts = 0
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            nonlocal sorts
+            sorts += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        steps = []
+        list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), observer=steps.append)
+        tags = {step.result.outcome.tag for step in steps}
+        assert {"reweighted", "split"} <= tags and len(steps) >= 10
+        assert sorts == (1 if d == 1 else len(steps))
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_branches_past_the_root_hold_only_their_support(self, d):
+        pts = junk_instance(4000, d, seed=52)
+        steps = []
+        list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), observer=steps.append)
+        assert steps[0].branch.rows is None and len(steps) >= 10
+        children = [c for st in steps for c in st.result.children + st.result.pruned]
+        for branch in [st.branch for st in steps[1:]] + children:
+            w = branch.weights.weights
+            assert len(w) == len(branch.rows) < len(pts)
+            assert (w > 0.0).all()
+            assert len(np.unique(branch.rows)) == len(branch.rows)
 
 
 @pytest.mark.parametrize("adversary", ["line_clusters", "decoy_clusters"])

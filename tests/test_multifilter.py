@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ldme import (
     truncated_variance,
     weighted_variance,
 )
+from auditing import scatter
 from oracles import (
     quantile_interval_naive,
     tied_1d_instance,
@@ -160,9 +162,14 @@ class TestSoftDownweight:
 
 
 def run_multifilter_1d(values, weights, alpha, big_c=20.0):
+    """One pass along e1, its support-local children scattered to full length."""
     ps = embed_1d(values)
     cfg = RunConfig(alpha=min(alpha, 0.49), big_c=big_c)
-    return basic_multifilter(ps, WeightFn(weights), E1, alpha, cfg), ps
+    out = basic_multifilter(ps, WeightFn(weights), E1, alpha, cfg)
+    children = tuple(
+        WeightFn(scatter(wf, rows, ps.n)) for wf, rows in zip(out.children, out.rows)
+    )
+    return replace(out, children=children), ps
 
 
 class TestBasicMultifilter:
