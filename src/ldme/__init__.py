@@ -51,11 +51,9 @@ from .wdata import (
     PointSet,
     WeightFn,
     approx_top_eigenpair,
-    cov_matvec,
     project,
     weighted_mean,
     weighted_variance,
-    weighted_variance_along,
 )
 
 __version__ = "0.1.0"

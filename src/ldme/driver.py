@@ -177,12 +177,21 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     lineage = branch.lineage + (outcome.tag,)
     children = [
         BranchState(wf, branch.depth + 1, lineage,
-                    rows=at if rows is None else rows[at], sorted_along=eig.direction)
+                    rows=_child_rows(rows, at, sub_ps.n), sorted_along=eig.direction)
         for wf, at in zip(outcome.children, outcome.rows)
     ]
     kept = tuple(child for child in children if child.weights.total >= floor)
     pruned = tuple(child for child in children if not child.weights.total >= floor)
     return SubroutineResult(None, kept, pruned, outcome, eig)
+
+
+def _child_rows(rows: np.ndarray | None, at: np.ndarray | slice, n: int) -> np.ndarray:
+    """A child's rows of ps as a fresh array, from its rows ``at`` of the
+    pass's n-row point set: an index array, or a slice when the pass did
+    not sort. rows=None stands for every row in order."""
+    if isinstance(at, slice):
+        return np.arange(*at.indices(n)) if rows is None else rows[at].copy()
+    return at if rows is None else rows[at]
 
 
 def _inlier_mass(branch: BranchState, mask: np.ndarray | None) -> float | None:

@@ -17,6 +17,11 @@ import numpy as np
 from .config import RunConfig
 from .wdata import PointSet, WeightFn, project, weighted_variance
 
+# Candidates per block of the split search: every temporary of the search is
+# this long, whatever the support's size.
+SPLIT_BLOCK = 1 << 12
+
+
 class DegenerateDownweight(RuntimeError):
     """Raised when every supported point already sits inside the interval."""
 
@@ -56,10 +61,6 @@ class Interval:
         t, r = self.center, self.half_width
         return Interval(t - 2.0 * r, t + 2.0 * r)
 
-    def contains(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        return (values >= self.a) & (values <= self.b)
-
 
 @dataclass(frozen=True)
 class SplitParams:
@@ -83,9 +84,11 @@ class MultifilterOutcome:
 
     tag is "certified" (no children), "reweighted" (one child weight
     function) or "split" (two children plus the split parameters used).
-    Children are support-local: children[i] weights the points at the row
-    indices rows[i] of the pass's point set, listed in ascending order of
-    their projections.
+    Children are support-local: children[i] weights the points at the rows
+    rows[i] of the pass's point set, listed in ascending order of their
+    projections. rows[i] is a fresh index array when the pass sorted, and a
+    slice of the rows' own order when they already ascended; numpy indexes
+    with either alike.
     """
 
     tag: str
@@ -98,7 +101,7 @@ class MultifilterOutcome:
         return cls(tag="certified")
 
     @classmethod
-    def reweighted(cls, new_weights: WeightFn, rows: np.ndarray) -> "MultifilterOutcome":
+    def reweighted(cls, new_weights: WeightFn, rows: np.ndarray | slice) -> "MultifilterOutcome":
         return cls(tag="reweighted", children=(new_weights,), rows=(rows,))
 
     @classmethod
@@ -119,6 +122,12 @@ def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float) -> np.ndar
     return p
 
 
+def _rows(order: np.ndarray | slice, at: slice) -> np.ndarray | slice:
+    """The rows of the input at positions ``at`` of its ascending order: a
+    fresh index array when ``order`` is an argsort, else the slice itself."""
+    return order[at].copy() if isinstance(order, np.ndarray) else at
+
+
 def quantile_interval(
     projections: np.ndarray, w: WeightFn, alpha: float, order: np.ndarray | None = None
 ) -> Interval:
@@ -127,14 +136,15 @@ def quantile_interval(
     a is the largest sample value whose strictly-smaller weight is at most
     the trim threshold; b symmetrically from above. Both endpoints are
     attained at sample values. Over the sorted values, the weight before a
-    position and the weight after it are monotone, so one binary search per
-    side finds the endpoint; ties share their value, so any position of a
-    tied value gives the same endpoint, and the sort need not be stable.
-    Sort plus prefix sums, O(n log n).
+    position and the weight after it are monotone, so one binary search of
+    the prefix sums per side finds the endpoint; ties share their value, so
+    any position of a tied value gives the same endpoint, and the sort need
+    not be stable. Sort plus prefix sums, O(n log n).
 
     ``order`` puts the projections in ascending order: an argsort that the
     caller already holds, or ``slice(None)`` when they already ascend;
-    without it the function sorts for itself.
+    without it the function sorts for itself. The same holds for every
+    function of this module that takes ``order``.
     """
     p = _check_inputs(projections, w, alpha)
     tau = alpha * w.total / 8.0
@@ -144,54 +154,99 @@ def quantile_interval(
     vals = p[order]
     cum = np.cumsum(w.weights[order])
     ja = int(np.searchsorted(cum[:-1], tau, side="right"))
-    above = w.total - cum
-    above[-1] = 0.0  # exact by definition; shields cumsum round-off
-    jb = int(np.argmax(above <= tau))
+    # The weight above position k, total - cum[k], is 0 by definition at the
+    # last position; that shields cumsum round-off.
+    jb = _first(lambda k: w.total - cum[k] <= tau, len(cum) - 1)
     return Interval(float(vals[ja]), float(vals[jb]))
 
 
-def truncated_variance(projections: np.ndarray, w: WeightFn, window: Interval) -> float:
-    """Weighted variance of the projections restricted to the window."""
+def truncated_variance(
+    projections: np.ndarray, w: WeightFn, window: Interval, order: np.ndarray | None = None
+) -> float:
+    """Weighted variance of the projections restricted to the window.
+
+    In ascending order the window [a, b] is one run of positions, found by
+    one binary search per end; only that run is read. ``order`` is as for
+    quantile_interval.
+    """
     p = np.asarray(projections, dtype=np.float64)
     if p.shape != w.weights.shape:
         raise ValueError("projections and weights must have matching length")
-    mask = window.contains(p)
-    win_w = w.weights[mask]
-    total = float(win_w.sum())
+    if order is None:
+        order = np.argsort(p)
+    vals, wts = p[order], w.weights[order]
+    i0 = int(np.searchsorted(vals, window.a, side="left"))
+    i1 = int(np.searchsorted(vals, window.b, side="right"))
+    vals, wts = vals[i0:i1], wts[i0:i1]
+    total = float(wts.sum())
     if total <= 0.0:
         raise ValueError("no weight inside the window")
-    vals = p[mask]
-    mean = float(win_w @ vals) / total
+    mean = float(wts @ vals) / total
     dev = vals - mean
-    return float(win_w @ (dev * dev)) / total
+    dev *= dev
+    return float(wts @ dev) / total
 
 
-def soft_downweight(projections: np.ndarray, w: WeightFn, interval: Interval) -> WeightFn:
+def soft_downweight(
+    projections: np.ndarray, w: WeightFn, interval: Interval, order: np.ndarray | None = None
+) -> tuple[WeightFn, np.ndarray | slice]:
     """Downweight each point by its squared distance from the interval.
 
     f(x) is zero inside [a, b] and the squared distance to the nearest
-    endpoint outside; new weights are (1 - f/f_max) * w with f_max taken
-    over supported points only, so the supported argmax lands exactly at 0.
+    endpoint outside; new weights are max(1 - f/f_max, 0) * w with f_max
+    taken over supported points only, so the supported argmax lands exactly
+    at 0.
+
+    In ascending order (``order`` as for quantile_interval) the rows outside
+    [a, b] are the two tails, and only they are computed: the rows inside
+    keep their weights bit for bit. f falls along the lower tail and rises
+    along the upper one, and correctly rounded arithmetic keeps the factor
+    1 - f/f_max monotone, so the rows it zeroes are a prefix and a suffix of
+    the order. Those are dropped.
+
+    Returns:
+        (new weights, rows): the new weights of the kept rows in ascending
+        order of their projections, checked once, and those rows as indices
+        into ``projections`` (a slice when ``order`` is ``slice(None)``).
+        A row whose weight was already zero keeps a zero weight unless it
+        lies in a dropped end.
+
+    Raises:
+        DegenerateDownweight: every supported point lies inside [a, b].
     """
     p = np.asarray(projections, dtype=np.float64)
     if p.shape != w.weights.shape:
         raise ValueError("projections and weights must have matching length")
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    # One length-n buffer goes from the gap to the new weights in place.
-    f = np.maximum(interval.a - p, 0.0)
-    f += np.maximum(p - interval.b, 0.0)
-    f *= f
-    fmax = float(np.max(f, where=w.weights > 0.0, initial=0.0))
+    if order is None:
+        order = np.argsort(p)
+    vals, wts = p[order], w.weights[order]
+    ia = int(np.searchsorted(vals, interval.a, side="left"))
+    ib = int(np.searchsorted(vals, interval.b, side="right"))
+    below = interval.a - vals[:ia]
+    above = vals[ib:] - interval.b
+    below *= below
+    above *= above
+    fmax = max(
+        float(np.max(below, where=wts[:ia] > 0.0, initial=0.0)),
+        float(np.max(above, where=wts[ib:] > 0.0, initial=0.0)),
+    )
     if fmax <= 0.0:
         raise DegenerateDownweight(
             "all supported projections lie inside the interval"
         )
-    f /= fmax
-    np.subtract(1.0, f, out=f)
-    np.maximum(f, 0.0, out=f)
-    f *= w.weights
-    return WeightFn._own(f)
+    for f in (below, above):
+        f /= fmax
+        np.subtract(1.0, f, out=f)
+        np.maximum(f, 0.0, out=f)
+    k0 = ia - int(np.count_nonzero(below))  # the zeroed prefix
+    k1 = ib + int(np.count_nonzero(above))  # the kept rows end here
+    new = np.empty(k1 - k0)
+    np.multiply(below[k0:], wts[k0:ia], out=new[: ia - k0])
+    new[ia - k0 : ib - k0] = wts[ia:ib]
+    np.multiply(above[: k1 - ib], wts[ib:k1], out=new[ib - k0 :])
+    return WeightFn._own(new), _rows(order, slice(k0, k1))
 
 
 def find_split(
@@ -228,89 +283,159 @@ def find_split(
     fraction, and family 2 at the same j pairs j with the largest usable
     i' >= i, which scores no worse. So family 1 is searched over the prefix
     of i with g1 <= 1/2 and family 2 over the suffix of j with g2 <= 1/2.
-    On equal scores family 1 wins.
 
-    ``order`` puts the projections in ascending order, as for
-    quantile_interval: an argsort that the caller already holds, or
-    ``slice(None)`` when they already ascend (as in basic_multifilter);
-    without it the function sorts for itself.
+    The candidates are scored SPLIT_BLOCK at a time, g1 and g2 formed per
+    block from the prefix sums, so beside the grid of _cut_grid the search
+    holds only block-sized temporaries. Blocks go in ascending order of a
+    lower bound on their scores, and the search stops at the first block
+    whose bound exceeds the best score found. The first minimum wins:
+    within a family the lowest index, and on equal scores family 1 over
+    family 2, as in a scan of family 1 and then family 2.
+
+    ``order`` is as for quantile_interval; basic_multifilter passes
+    ``slice(None)``, since its projections ascend. The chosen split is
+    re-checked on the realized halves, each a run of the ascending order.
     """
     p = _check_inputs(projections, w, alpha)
     if order is None:
         order = np.argsort(p)
-    grid = _cut_grid(p, w.weights, order)
+    vals, wts = p[order], w.weights[order]
+    grid = _cut_grid(vals, wts)
     if grid is None:
         return None
-    g1, g2, lo, hi = grid
+    prefix, lo, hi = grid
+    total = float(prefix[-1])
     l48 = 48.0 * np.log2(2.0 / alpha)
 
     m = len(lo)
-    n1 = int(np.searchsorted(g1, 0.5, side="right"))  # g1 <= 1/2 on [0, n1)
-    j0 = m - int(np.searchsorted(g2[::-1], 0.5, side="right"))  # g2 <= 1/2 on [j0, m)
-    best_score, sp = np.inf, None
+    n1 = _first(lambda i: prefix[i] / total > 0.5, m)  # g1 <= 1/2 on [0, n1)
+    j0 = _first(lambda j: (total - prefix[j]) / total <= 0.5, m)  # g2 <= 1/2 on [j0, m)
+    blocks = [(1, s, min(s + SPLIT_BLOCK, n1)) for s in range(0, n1, SPLIT_BLOCK)]
+    blocks += [(2, s, min(s + SPLIT_BLOCK, m)) for s in range(j0, m, SPLIT_BLOCK)]
+    best = (np.inf, 0, 0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
-        j_of_i = np.searchsorted(hi, lo[:n1] + 2.0 * np.sqrt(l48 / g1[:n1]), side="right")
-        i_of_j = (
-            np.searchsorted(lo, hi[j0:] - 2.0 * np.sqrt(l48 / g2[j0:]), side="left") - 1
-        )
-        # One family at a time keeps the temporaries at one slice's length.
-        for i, j in ((np.arange(n1), j_of_i), (i_of_j, np.arange(j0, m))):
-            keep = (i >= 0) & (j < m)
-            i, j = i[keep], j[keep]
-            score = (1.0 - g1[i]) ** 2 + (1.0 - g2[j]) ** 2
-            keep = score <= 1.0
-            i, j, score = i[keep], j[keep], score[keep]
-            gmin = np.minimum(g1[i], g2[j])
-            # hi[i] is the highest usable lower cut in box i.
-            r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - hi[i]))
-            r_hi = 0.5 * (hi[j] - lo[i])
-            R = 0.5 * (r_lo + r_hi)
-            ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
-            if ok.any():
-                k = int(np.argmin(np.where(ok, score, np.inf)))
-                if score[k] < best_score:
-                    best_score = score[k]
-                    sp = SplitParams(t=float(hi[j[k]] - R[k]), R=float(R[k]))
-    if sp is None or not _split_holds(p, w.weights, w.total, sp, l48):
+        for floor, *block in sorted((_score_floor(prefix, total, *b), *b) for b in blocks):
+            if floor > best[0] + 1e-9:
+                break
+            found = _block_best(prefix, total, lo, hi, l48, *block)
+            if found is not None and found[:3] < best[:3]:
+                best = found
+    sp = best[3]
+    if sp is None or not _split_holds(vals, wts, w.total, sp, l48):
         return None
     return sp
 
 
-def _cut_grid(
-    p: np.ndarray, weights: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, ...] | None:
+def _score_floor(prefix: np.ndarray, total: float, family: int, start: int, stop: int) -> float:
+    """A lower bound on the score of every candidate of a block.
+
+    The lower cut of a candidate lies below its upper cut, so its lost
+    fractions add up to at most 1. A block whose own lost fractions (g1 for
+    family 1, g2 for family 2) lie in [a, b] therefore scores at least
+    (1 - b)^2 + a^2; the caller allows 1e-9 for rounding.
+    """
+    if family == 1:
+        a, b = prefix[start] / total, prefix[stop - 1] / total
+    else:
+        a, b = (total - prefix[stop - 1]) / total, (total - prefix[start]) / total
+    return float((1.0 - b) ** 2 + a * a)
+
+
+def _block_best(
+    prefix: np.ndarray, total: float, lo: np.ndarray, hi: np.ndarray, l48: float,
+    family: int, start: int, stop: int,
+) -> tuple | None:
+    """The first best feasible candidate of one block of a family, as
+    (score, family, index, SplitParams), or None.
+
+    Family 1 pairs each lower cut i in [start, stop) with its smallest usable
+    upper cut j; family 2 each upper cut j with its largest usable lower cut
+    i. index is i in family 1 and j in family 2, so comparing these tuples
+    keeps the first minimum of a family and prefers family 1 on equal scores.
+    """
+    m = len(lo)
+    if family == 1:
+        i = np.arange(start, stop)
+        g1 = prefix[start:stop] / total
+        j = np.searchsorted(hi, lo[start:stop] + 2.0 * np.sqrt(l48 / g1), side="right")
+    else:
+        j = np.arange(start, stop)
+        g2 = (total - prefix[start:stop]) / total
+        i = np.searchsorted(lo, hi[start:stop] - 2.0 * np.sqrt(l48 / g2), side="left") - 1
+    keep = (i >= 0) & (j < m)
+    i, j = i[keep], j[keep]
+    g1, g2 = prefix[i] / total, (total - prefix[j]) / total
+    score = (1.0 - g1) ** 2 + (1.0 - g2) ** 2
+    keep = score <= 1.0
+    i, j, score = i[keep], j[keep], score[keep]
+    gmin = np.minimum(g1[keep], g2[keep])
+    # hi[i] is the highest usable lower cut in box i.
+    r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - hi[i]))
+    r_hi = 0.5 * (hi[j] - lo[i])
+    R = 0.5 * (r_lo + r_hi)
+    ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
+    if not ok.any():
+        return None
+    k = int(np.argmin(np.where(ok, score, np.inf)))
+    index = int(i[k] if family == 1 else j[k])
+    return float(score[k]), family, index, SplitParams(t=float(hi[j[k]] - R[k]), R=float(R[k]))
+
+
+def _first(holds, m: int) -> int:
+    """The first k in [0, m) at which the monotone predicate holds, or m."""
+    lo, hi = 0, m
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _cut_grid(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """The arrays find_split searches, or None below two supported values.
 
-    Takes the values and weights in the sort order ``order`` and drops
-    zero-weight entries, then returns, over the gaps between the sorted
-    unique supported values u, the lost fractions g1 and g2 and the usable
-    cuts lo and hi. The gathered arrays, group starts and prefix sums die
-    here, so a split search holds few arrays of the support's size at once.
+    Takes the values in ascending order with their weights and drops
+    zero-weight entries. Over the sorted unique supported values u it
+    returns the prefix sums of their weights (the last entry is the total)
+    and, over the gaps between them, the usable cuts lo and hi; find_split
+    forms the lost fractions g1 = prefix/total and g2 = (total - prefix)/total
+    per block. Without ties u is the input itself and its weights need no
+    grouping; lo and hi are built in place, so the grid is three arrays of
+    the support's size.
     """
-    vals = p[order]
-    wts = weights[order]
-    supported = wts > 0.0
-    if not supported.all():
+    if not wts.min() > 0.0:
+        supported = wts > 0.0
         vals, wts = vals[supported], wts[supported]
-    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-    if len(starts) < 2:
+    fresh = vals[1:] != vals[:-1]
+    if fresh.all():
+        u, prefix = vals, np.cumsum(wts)
+    else:
+        starts = np.flatnonzero(np.r_[True, fresh])
+        u, prefix = vals[starts], np.add.reduceat(wts, starts)
+        np.cumsum(prefix, out=prefix)
+    if len(u) < 2:
         return None
-    u = vals[starts]
-    prefix = np.cumsum(np.add.reduceat(wts, starts))
-    total = float(prefix[-1])
-    g1 = prefix[:-1] / total
-    g2 = (total - prefix[:-1]) / total
-
-    clear = np.minimum(0.25 * np.diff(u), 8.0 * np.spacing(max(-u[0], u[-1])))
-    return g1, g2, u[:-1] + clear, u[1:] - clear
+    clear = np.diff(u)
+    clear *= 0.25
+    np.minimum(clear, 8.0 * np.spacing(max(-u[0], u[-1])), out=clear)
+    lo = u[:-1] + clear
+    return prefix, lo, np.subtract(u[1:], clear, out=clear)
 
 
 def _split_holds(
-    proj: np.ndarray, weights: np.ndarray, total: float, sp: SplitParams, l48: float
+    vals: np.ndarray, wts: np.ndarray, total: float, sp: SplitParams, l48: float
 ) -> bool:
-    """Re-check both conditions on the realized halves of a candidate."""
-    w1 = float(weights[proj >= sp.t - sp.R].sum())
-    w2 = float(weights[proj < sp.t + sp.R].sum())
+    """Re-check both conditions on the realized halves of a candidate.
+
+    vals ascend, so kept-right {x >= t - R} is a suffix and kept-left
+    {x < t + R} a prefix, each found by one binary search.
+    """
+    k_right = int(np.searchsorted(vals, sp.t - sp.R, side="left"))
+    k_left = int(np.searchsorted(vals, sp.t + sp.R, side="left"))
+    w1 = float(wts[k_right:].sum())
+    w2 = float(wts[:k_left].sum())
     if not w1 * w1 + w2 * w2 <= total * total:
         return False
     return min(1.0 - w1 / total, 1.0 - w2 / total) >= l48 / (sp.R * sp.R)
@@ -334,10 +459,13 @@ def basic_multifilter(
     The pass works in ascending order of the projections. ``sorted_along``
     is the direction the rows of ps already ascend along, if the caller
     knows one. When v equals it bit for bit, the projections ascend as
-    given, since each row is projected on its own, and the pass does not
-    sort; otherwise it sorts them once. The children keep that order (see
+    given, since each row is projected on its own, and the pass neither
+    sorts nor builds an order; otherwise it sorts them once. Every set the
+    pass reads is then a run of that order: the doubled window, the tails
+    outside I, the halves of a split. The children keep the order (see
     MultifilterOutcome): a split child is the prefix {x < t + R} or the
-    suffix {x >= t - R}, and the reweighted child drops the rows it zeroes.
+    suffix {x >= t - R}, and the reweighted child drops the prefix and
+    suffix that soft_downweight zeroes.
 
     Raises:
         InfeasibleSplit: the variance gate tripped but no feasible split
@@ -349,21 +477,20 @@ def basic_multifilter(
     proj = project(ps, v)
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
+    ascending = slice(None)  # handed to every step below
     if sorted_along is not None and np.array_equal(v, sorted_along):
-        order = np.arange(ps.n)
+        order = ascending
     else:
         order = np.argsort(proj)
         proj, w = proj[order], WeightFn._own(w.weights[order])
-    ascending = slice(None)  # shared by the quantile interval and the split search
     interval = quantile_interval(proj, w, alpha, ascending)
     lg = np.log2(2.0 / alpha)
     gate = cfg.big_c * lg * lg
-    if truncated_variance(proj, w, interval.doubled()) <= gate:
+    if truncated_variance(proj, w, interval.doubled(), ascending) <= gate:
         if weighted_variance(proj, w) <= 2.0 * gate:
             return MultifilterOutcome.certified()
-        new = soft_downweight(proj, w, interval).weights
-        keep = new > 0.0
-        return MultifilterOutcome.reweighted(WeightFn._own(new[keep]), order[keep])
+        new, kept = soft_downweight(proj, w, interval, ascending)
+        return MultifilterOutcome.reweighted(new, _rows(order, kept))
     sp = find_split(proj, w, alpha, ascending)
     if sp is None:
         raise InfeasibleSplit(
@@ -380,4 +507,5 @@ def basic_multifilter(
     lo, hi = np.searchsorted(proj, (sp.t - sp.R, sp.t + sp.R))
     right = WeightFn._own(w.weights[lo:].copy())
     left = WeightFn._own(w.weights[:hi].copy())
-    return MultifilterOutcome.split(right, left, sp, (order[lo:].copy(), order[:hi].copy()))
+    rows = (_rows(order, slice(lo, None)), _rows(order, slice(None, hi)))
+    return MultifilterOutcome.split(right, left, sp, rows)

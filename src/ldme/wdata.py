@@ -4,7 +4,7 @@ A PointSet is an immutable n x d sample matrix; every soft-filtering state
 lives in a WeightFn attached to it. Means, variances and projections cost
 O(n*d). The top eigenpair is exact: the d x d weighted covariance of the
 supported rows is formed block by block in O(|supp| d^2) and handed to a
-dense symmetric eigensolver, O(d^3).
+dense symmetric eigensolver, O(d^3); in 1-D it is the weighted variance.
 """
 
 from __future__ import annotations
@@ -167,29 +167,8 @@ def weighted_variance(values: np.ndarray, w: WeightFn) -> float:
         raise ValueError("weight function has zero total mass")
     mean = float(w.weights @ values) / w.total
     dev = values - mean
-    return float(w.weights @ (dev * dev)) / w.total
-
-
-def weighted_variance_along(ps: PointSet, w: WeightFn, v: np.ndarray) -> float:
-    """Weighted variance of the projections onto v; equals v' Cov_w v."""
-    return weighted_variance(project(ps, v), w)
-
-
-def cov_matvec(ps: PointSet, w: WeightFn, u: np.ndarray) -> np.ndarray:
-    """Apply the weighted covariance to u in O(n*d) without forming it.
-
-    Uses two centered passes: p_i = w_i * <x_i - mu, u>, then
-    (1/w(T)) * sum_i p_i (x_i - mu).
-    """
-    _check_pair(ps, w)
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (ps.d,):
-        raise ValueError(f"vector has shape {u.shape}, expected ({ps.d},)")
-    if w.total <= 0.0:
-        raise ValueError("weight function has zero total mass")
-    mu = weighted_mean(ps, w)
-    p = w.weights * (ps.points @ u - mu @ u)
-    return (ps.points.T @ p - mu * p.sum()) / w.total
+    dev *= dev
+    return float(w.weights @ dev) / w.total
 
 
 def _weighted_cov(ps: PointSet, w: WeightFn) -> np.ndarray:
@@ -227,6 +206,11 @@ def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
     largest magnitude non-negative, so it does not depend on LAPACK's sign
     choice. Deterministic. O(|supp| d^2 + d^3).
 
+    In 1-D there is nothing to solve: the direction is [1.0] and the value
+    the weighted variance of the one coordinate, a two-pass sum over the
+    rows in their order, O(|supp|). It can differ from the 1 x 1
+    covariance's entry in the last bits.
+
     Args:
         ps: the point set.
         w: weights with positive total mass.
@@ -235,6 +219,9 @@ def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
         EigenPair with value max(v'Cov v, 0). When the covariance is zero
         the value is 0 and the direction an arbitrary unit vector.
     """
+    if ps.d == 1:
+        _check_pair(ps, w)
+        return EigenPair(value=weighted_variance(ps.points[:, 0], w), direction=np.ones(1))
     cov = _weighted_cov(ps, w)
     v = np.linalg.eigh(cov)[1][:, -1].copy()
     if v[np.argmax(np.abs(v))] < 0.0:

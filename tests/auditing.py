@@ -21,8 +21,8 @@ from ldme import (
     WeightFn,
     list_decode_mean,
     preprocess_rescale,
-    weighted_variance_along,
 )
+from oracles import weighted_variance_along
 
 REL = 1e-9
 

@@ -37,6 +37,24 @@ def weighted_variance_naive(values, weights) -> float:
     return sum(float(w) * (float(x) - mean) ** 2 for w, x in zip(weights, values)) / total
 
 
+def weighted_variance_along(ps, w, v) -> float:
+    """Weighted variance of the projections of a PointSet onto v, two-pass;
+    equals v' Cov_w v."""
+    proj = np.einsum("ij,j->i", ps.points, np.asarray(v, dtype=float))
+    mean = float(w.weights @ proj) / w.total
+    dev = proj - mean
+    return float(w.weights @ (dev * dev)) / w.total
+
+
+def cov_matvec(ps, w, u) -> np.ndarray:
+    """The weighted covariance of a PointSet applied to u without forming
+    it: p_i = w_i <x_i - mu, u>, then (1/w(T)) sum_i p_i (x_i - mu)."""
+    u = np.asarray(u, dtype=float)
+    mu = (w.weights @ ps.points) / w.total
+    p = w.weights * (ps.points @ u - mu @ u)
+    return (ps.points.T @ p - mu * p.sum()) / w.total
+
+
 def dense_weighted_cov(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     mu = weighted_mean_naive(points, weights)
     d = points.shape[1]
@@ -206,16 +224,16 @@ def tied_1d_instance(rng, n_max: int = 120):
     return vals, wts, float(rng.uniform(0.02, 0.45))
 
 
-def find_split_both_families(projections, weights, alpha) -> tuple[float, float] | None:
-    """(t, R) of the most balanced feasible split, or None, by the full
-    two-family candidate search over every cut position.
+def split_candidates(projections, weights, alpha):
+    """The feasible candidates of the full two-family search over every cut
+    position, as (g1, g2, candidates).
 
-    This is the vectorized search ``find_split`` narrows to the half of each
-    family that can win: family 1 pairs every lower cut i with its smallest
-    usable upper cut, family 2 every upper cut j with its largest usable
-    lower cut, and family 1 wins on equal scores. Both cuts of a gap keep
-    the clearance min(gap/4, 8 ulp(max |u|)) from the values around it; the
-    chosen split is re-checked on the realized halves.
+    Family 1 pairs every lower cut i with its smallest usable upper cut,
+    family 2 every upper cut j with its largest usable lower cut. Both cuts
+    of a gap keep the clearance min(gap/4, 8 ulp(max |u|)) from the values
+    around it. g1[i] and g2[j] are the lost fractions of the cuts, and each
+    candidate is (score, family, index, t, R) with index i in family 1 and j
+    in family 2.
     """
     proj = np.asarray(projections, dtype=float)
     wts = np.asarray(weights, dtype=float)
@@ -225,7 +243,7 @@ def find_split_both_families(projections, weights, alpha) -> tuple[float, float]
     vals = vals[order]
     starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
     if len(starts) < 2:
-        return None
+        return np.zeros(0), np.zeros(0), []
     u = vals[starts]
     prefix = np.cumsum(np.add.reduceat(wts[sup][order], starts))
     total = float(prefix[-1])
@@ -237,11 +255,11 @@ def find_split_both_families(projections, weights, alpha) -> tuple[float, float]
     l48 = 48.0 * np.log2(2.0 / alpha)
 
     idx = np.arange(len(lo))
-    best_score, best = np.inf, None
+    cands = []
     with np.errstate(divide="ignore", invalid="ignore"):
         j_of_i = np.searchsorted(hi, lo + 2.0 * np.sqrt(l48 / g1), side="right")
         i_of_j = np.searchsorted(lo, hi - 2.0 * np.sqrt(l48 / g2), side="left") - 1
-        for i, j in ((idx, j_of_i), (i_of_j, idx)):
+        for family, i, j in ((1, idx, j_of_i), (2, i_of_j, idx)):
             keep = (i >= 0) & (j < len(lo))
             i, j = i[keep], j[keep]
             score = (1.0 - g1[i]) ** 2 + (1.0 - g2[j]) ** 2
@@ -252,14 +270,29 @@ def find_split_both_families(projections, weights, alpha) -> tuple[float, float]
             r_hi = 0.5 * (hi[j] - lo[i])
             R = 0.5 * (r_lo + r_hi)
             ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
-            if ok.any():
-                k = int(np.argmin(np.where(ok, score, np.inf)))
-                if score[k] < best_score:
-                    best_score = score[k]
-                    best = (float(hi[j[k]] - R[k]), float(R[k]))
-    if best is None:
+            for k in np.flatnonzero(ok):
+                index = int(i[k] if family == 1 else j[k])
+                cands.append(
+                    (float(score[k]), family, index, float(hi[j[k]] - R[k]), float(R[k]))
+                )
+    return g1, g2, cands
+
+
+def find_split_both_families(projections, weights, alpha) -> tuple[float, float] | None:
+    """(t, R) of the most balanced feasible split, or None, by the full
+    two-family candidate search over every cut position.
+
+    This is the search ``find_split`` narrows to the half of each family
+    that can win. Family 1 wins on equal scores, and within a family the
+    lowest index; the chosen split is re-checked on the realized halves.
+    """
+    proj = np.asarray(projections, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    _, _, cands = split_candidates(proj, wts, alpha)
+    if not cands:
         return None
-    t, R = best
+    _, _, _, t, R = min(cands)
+    l48 = 48.0 * np.log2(2.0 / alpha)
     w1 = float(wts[proj >= t - R].sum())
     w2 = float(wts[proj < t + R].sum())
     wt = float(wts.sum())
@@ -267,4 +300,13 @@ def find_split_both_families(projections, weights, alpha) -> tuple[float, float]
         return None
     if not min(1.0 - w1 / wt, 1.0 - w2 / wt) >= l48 / (R * R):
         return None
-    return best
+    return t, R
+
+
+def soft_downweight_naive(projections, weights, a, b) -> list[float]:
+    """New weights w * max(1 - f/f_max, 0) in input order, f the squared
+    distance to [a, b] and f_max its largest value over supported points."""
+    f = [max(a - float(x), 0.0) + max(float(x) - b, 0.0) for x in projections]
+    f = [d * d for d in f]
+    fmax = max((d for d, w in zip(f, weights) if w > 0.0), default=0.0)
+    return [max(1.0 - d / fmax, 0.0) * float(w) for d, w in zip(f, weights)]

@@ -23,13 +23,13 @@ from ldme import (
     RunConfig,
     WeightFn,
     approx_top_eigenpair,
-    cov_matvec,
     find_split,
     gen_instance,
     reduce_list,
 )
 from auditing import RunAudit, nice_path_exists, run_audited
 from oracles import (
+    cov_matvec,
     min_error_naive,
     separated_subset_props,
     split_conditions_hold,

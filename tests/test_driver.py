@@ -19,6 +19,7 @@ from ldme import (
     main_subroutine,
     postprocess_unscale,
     preprocess_rescale,
+    quantile_interval,
     weighted_mean,
 )
 from auditing import run_audited, scatter
@@ -430,6 +431,33 @@ class TestSortedBranches:
             assert len(w) == len(branch.rows) < len(pts)
             assert (w > 0.0).all()
             assert len(np.unique(branch.rows)) == len(branch.rows)
+
+    def test_reweighted_children_drop_only_ends_of_the_order(self):
+        pts = junk_instance(4000, 1, seed=53)
+        cfg = RunConfig(alpha=0.2, trace=False)
+        ps = preprocess_rescale(pts, cfg)
+        steps = []
+        list_decode_mean(pts, cfg, observer=steps.append)
+        reweights = [st for st in steps if st.result.outcome.tag == "reweighted"]
+        assert len(reweights) >= 5
+        for st in reweights:
+            branch = st.branch
+            rows = np.arange(ps.n) if branch.rows is None else branch.rows
+            x = ps.points[rows, 0]
+            order = np.argsort(x) if branch.rows is None else np.arange(len(rows))
+            x, rows, w = x[order], rows[order], branch.weights.weights[order]
+            assert (np.diff(x) >= 0.0).all()
+            (child,) = st.result.children + st.result.pruned
+            k0 = int(np.flatnonzero(rows == child.rows[0])[0])
+            k1 = k0 + len(child.rows)
+            # A prefix and a suffix of the sorted rows are dropped, at least one row.
+            assert k0 + len(rows) - k1 >= 1
+            np.testing.assert_array_equal(child.rows, rows[k0:k1])
+            # The rows inside the quantile interval keep their weights bit for bit.
+            iv = quantile_interval(x, WeightFn(w), cfg.alpha)
+            inside = (x[k0:k1] >= iv.a) & (x[k0:k1] <= iv.b)
+            assert inside.sum() >= 0.5 * len(rows)
+            np.testing.assert_array_equal(child.weights.weights[inside], w[k0:k1][inside])
 
 
 @pytest.mark.parametrize("adversary", ["line_clusters", "decoy_clusters"])

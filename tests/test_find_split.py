@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ldme import WeightFn, find_split
+from ldme import WeightFn, find_split, multifilter
 from oracles import (
     find_split_both_families,
+    split_candidates,
     split_best_score_bruteforce,
     split_conditions_hold,
     split_feasible_bruteforce,
@@ -144,3 +145,97 @@ class TestHalfSearch:
             assert got == want, (vals, wts, alpha)
             feasible_seen += want is not None
         assert feasible_seen >= 1_000
+
+
+class TestBlockedSearch:
+    """find_split scores its candidates SPLIT_BLOCK at a time, best bound
+    first; the answer must be the full two-family search's, bit for bit,
+    wherever the block boundaries fall."""
+
+    @staticmethod
+    def _winner_facts(vals, wts, alpha, block):
+        """Whether the winning candidate is the last of its block, and
+        whether the best score recurs in another block of its family."""
+        g1, g2, cands = split_candidates(vals, wts, alpha)
+        m = len(g1)
+        n1 = int((g1 <= 0.5).sum())
+        j0 = m - int((g2 <= 0.5).sum())
+        half = [c for c in cands if (c[2] < n1 if c[1] == 1 else c[2] >= j0)]
+        if not half:
+            return False, False
+        score, family, index = min(half)[:3]
+        first, stop = (0, n1) if family == 1 else (j0, m)
+        last = (index - first + 1) % block == 0 or index == stop - 1
+        blocks = {(c[2] - first) // block for c in half if c[:2] == (score, family)}
+        return last, len(blocks) > 1
+
+    def test_matches_full_search_across_block_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        feasible_seen = last_seen = 0
+        for _ in range(1_500):
+            vals, wts, alpha = tied_1d_instance(rng, n_max=300)
+            unique = len(np.unique(vals[wts > 0]))
+            # The gaps between supported values span 3 to 5 blocks.
+            block = max(1, -(-unique // int(rng.integers(3, 6))))
+            monkeypatch.setattr(multifilter, "SPLIT_BLOCK", block)
+            want = find_split_both_families(vals, wts, alpha)
+            sp = find_split(vals, WeightFn(wts), alpha)
+            assert (None if sp is None else (sp.t, sp.R)) == want, (vals, wts, alpha, block)
+            if want is not None:
+                feasible_seen += 1
+                last_seen += self._winner_facts(vals, wts, alpha, block)[0]
+        assert feasible_seen >= 300 and last_seen >= 20
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 25, 49, 50, 51, 4096])
+    def test_equal_scores_in_two_blocks(self, monkeypatch, block):
+        # Clusters of 50 unit weights at 0..49 and 1000..1049, and a row of
+        # weight 1e-300 at 60. The gaps after 49 and after 60 lose the same
+        # rounded fraction 1/2 and pair with the same upper cut, so family 1
+        # scores 1/2 at i = 49 and at i = 50; the lower index must win.
+        vals = np.concatenate([np.arange(50.0), [60.0], 1000.0 + np.arange(50.0)])
+        wts = np.concatenate([np.ones(50), [1e-300], np.ones(50)])
+        monkeypatch.setattr(multifilter, "SPLIT_BLOCK", block)
+        want = find_split_both_families(vals, wts, 0.2)
+        sp = find_split(vals, WeightFn(wts), 0.2)
+        assert want is not None and (sp.t, sp.R) == want
+        g1, _, cands = split_candidates(vals, wts, 0.2)
+        assert g1[49] == g1[50] == 0.5
+        assert min(cands)[:3] == (0.5, 1, 49)
+        assert (0.5, 1, 50) == min(c for c in cands if c[2] != 49)[:3]
+        if block == 50:
+            assert self._winner_facts(vals, wts, 0.2, block) == (True, True)
+
+    def test_default_block_size_on_large_supports(self):
+        # Several real blocks per family, with ties and zero weights.
+        rng = np.random.default_rng(37)
+        for _ in range(6):
+            n = int(rng.integers(3, 6)) * multifilter.SPLIT_BLOCK * 2
+            centers = rng.normal(size=5) * 200.0
+            vals = np.round(rng.choice(centers, n) + rng.normal(size=n) * 20.0, 1)
+            wts = rng.integers(0, 65, n) / 64.0
+            alpha = float(rng.uniform(0.05, 0.3))
+            sp = find_split(vals, WeightFn(wts), alpha)
+            want = find_split_both_families(vals, wts, alpha)
+            assert (None if sp is None else (sp.t, sp.R)) == want
+
+    def test_working_set_is_a_few_support_lengths(self):
+        # On ascending projections the grid holds three support-length
+        # arrays (prefix sums, lo, hi); everything else is block-sized.
+        import tracemalloc
+
+        rng = np.random.default_rng(38)
+        n = 100_000
+        centers = np.arange(5) * 400.0
+        vals = rng.choice(centers, n) + rng.normal(size=n) * 25.0
+        vals[rng.choice(n, n // 100, replace=False)] = rng.uniform(-5000, 5000, n // 100)
+        vals.sort()
+        w = WeightFn(np.ones(n))
+        find_split(vals, w, 0.2, slice(None))  # warm caches and imports
+        tracemalloc.start()
+        try:
+            sp = find_split(vals, w, 0.2, slice(None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp is not None
+        assert peak <= 4 * 8 * n, peak / (8 * n)

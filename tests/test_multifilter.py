@@ -20,6 +20,7 @@ from ldme import (
 from auditing import scatter
 from oracles import (
     quantile_interval_naive,
+    soft_downweight_naive,
     tied_1d_instance,
     split_conditions_hold,
     truncated_variance_naive,
@@ -125,22 +126,28 @@ class TestTruncatedVariance:
             )
 
 
+def downweighted(proj, w, interval):
+    """soft_downweight's new weights at full length, in the input's order."""
+    new, rows = soft_downweight(proj, w, interval)
+    return scatter(new, rows, len(proj))
+
+
 class TestSoftDownweight:
     def test_argmax_zeroed_inside_untouched(self):
-        w = soft_downweight(np.array([0.0, 10.0]), WeightFn([1.0, 1.0]), Interval(0.0, 1.0))
-        np.testing.assert_array_equal(w.weights, [1.0, 0.0])
+        w = downweighted(np.array([0.0, 10.0]), WeightFn([1.0, 1.0]), Interval(0.0, 1.0))
+        np.testing.assert_array_equal(w, [1.0, 0.0])
 
     def test_direct_formula(self):
-        w = soft_downweight(
+        w = downweighted(
             np.array([0.0, 3.0, 6.0]), WeightFn(np.ones(3)), Interval(0.0, 2.0)
         )
-        np.testing.assert_allclose(w.weights, [1.0, 15.0 / 16.0, 0.0])
+        np.testing.assert_allclose(w, [1.0, 15.0 / 16.0, 0.0])
 
     def test_max_over_supported_points_only(self):
-        w = soft_downweight(
+        w = downweighted(
             np.array([-5.0, 0.0, 5.0]), WeightFn([1.0, 1.0, 0.0]), Interval(-1.0, 1.0)
         )
-        np.testing.assert_array_equal(w.weights, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateDownweight):
@@ -156,9 +163,9 @@ class TestSoftDownweight:
             f = np.maximum(lo - proj, 0) + np.maximum(proj - hi, 0)
             if not (f[wts > 0] > 0).any():
                 continue
-            w_new = soft_downweight(proj, WeightFn(wts), Interval(lo, hi))
-            assert (w_new.weights <= wts + 1e-15).all()
-            assert ((wts > 0) & (w_new.weights == 0.0)).any()
+            w_new = downweighted(proj, WeightFn(wts), Interval(lo, hi))
+            assert (w_new <= wts + 1e-15).all()
+            assert ((wts > 0) & (w_new == 0.0)).any()
 
 
 def run_multifilter_1d(values, weights, alpha, big_c=20.0):
@@ -364,3 +371,103 @@ class TestSharedSortOrder:
         out, _ = run_multifilter_1d(vals, np.ones(100), alpha)
         assert out.tag == tag
         assert sorts == 1
+
+
+class TestSortedKernel:
+    """A pass reads runs of its ascending order: the doubled window, the
+    tails outside I, the halves of a split. The public functions take the
+    same path on unsorted input, through an argsort."""
+
+    @staticmethod
+    def _reweight_instance(rng):
+        # A tight core plus a few far rows on both sides, below the trim.
+        n = int(rng.integers(100, 400))
+        far = rng.uniform(200.0, 5000.0, n // 50) * rng.choice([-1.0, 1.0], n // 50)
+        vals = np.concatenate([rng.normal(size=n), far])
+        return vals, rng.uniform(0.05, 1.0, len(vals))
+
+    def test_reweight_pass_keeps_the_inside_and_drops_ends(self):
+        rng = np.random.default_rng(51)
+        cfg = RunConfig(alpha=0.2)
+        seen = {False: 0, True: 0}
+        for _ in range(60):
+            vals, wts = self._reweight_instance(rng)
+            for presorted in (False, True):
+                if presorted:
+                    order = np.argsort(vals)
+                    vals, wts = vals[order], wts[order]
+                out = basic_multifilter(
+                    embed_1d(vals), WeightFn(wts), E1, 0.2, cfg, E1 if presorted else None
+                )
+                assert out.tag == "reweighted"
+                (new,), (rows,) = out.children, out.rows
+                assert isinstance(rows, slice) == presorted
+                asc = np.argsort(vals)
+                at = np.arange(len(vals))[rows]
+                k0 = int(np.flatnonzero(asc == at[0])[0])
+                k1 = k0 + len(at)
+                # The zeroed rows are a prefix and a suffix of the order.
+                assert k0 + len(vals) - k1 >= 1
+                np.testing.assert_array_equal(at, asc[k0:k1])
+                assert (new.weights > 0.0).all()
+                iv = quantile_interval(vals, WeightFn(wts), 0.2)
+                inside = (vals[at] >= iv.a) & (vals[at] <= iv.b)
+                np.testing.assert_array_equal(new.weights[inside], wts[at][inside])
+                naive = np.array(soft_downweight_naive(vals, wts, iv.a, iv.b))
+                np.testing.assert_array_equal(new.weights, naive[at])
+                assert not np.delete(naive, at).any()
+                seen[presorted] += 1
+        assert seen == {False: 60, True: 60}
+
+    def test_presorted_reweight_pass_checks_one_weight_function(self, monkeypatch):
+        # No sort, no order array, and the child's weights are checked once.
+        vals, wts = self._reweight_instance(np.random.default_rng(52))
+        order = np.argsort(vals)
+        ps, w = embed_1d(vals[order]), WeightFn(wts[order])
+        checks = 0
+        adopt = WeightFn._adopt
+
+        def counted(self, weights):
+            nonlocal checks
+            checks += 1
+            return adopt(self, weights)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a presorted pass builds no order")
+
+        monkeypatch.setattr(WeightFn, "_adopt", counted)
+        monkeypatch.setattr(np, "argsort", refused)
+        monkeypatch.setattr(np, "arange", refused)
+        out = basic_multifilter(ps, w, E1, 0.2, RunConfig(alpha=0.2), sorted_along=E1)
+        assert out.tag == "reweighted" and checks == 1
+
+    def test_unsorted_input_matches_naive_and_sorted_calls(self):
+        rng = np.random.default_rng(53)
+        zeros_seen = 0
+        for _ in range(200):
+            proj, wts, alpha = tied_1d_instance(rng)
+            zeros_seen += bool((wts == 0.0).any())
+            order = np.argsort(proj)
+            lo, hi = np.sort(rng.choice(proj, 2))
+            w = WeightFn(wts)
+            if wts[(proj >= lo) & (proj <= hi)].sum() > 0.0:
+                got = truncated_variance(proj, w, Interval(lo, hi))
+                assert got == truncated_variance(proj, w, Interval(lo, hi), order)
+                assert got == truncated_variance(
+                    proj[order], WeightFn(wts[order]), Interval(lo, hi), slice(None)
+                )
+                want = truncated_variance_naive(proj, wts, lo, hi)
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            outside = (proj < lo) | (proj > hi)
+            if not (wts[outside] > 0.0).any():
+                with pytest.raises(DegenerateDownweight):
+                    soft_downweight(proj, w, Interval(lo, hi))
+                continue
+            got = downweighted(proj, w, Interval(lo, hi))
+            np.testing.assert_array_equal(got, soft_downweight_naive(proj, wts, lo, hi))
+            new, rows = soft_downweight(
+                proj[order], WeightFn(wts[order]), Interval(lo, hi), slice(None)
+            )
+            np.testing.assert_array_equal(scatter(new, order[rows], len(proj)), got)
+        assert zeros_seen >= 50
+

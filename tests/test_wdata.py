@@ -5,17 +5,17 @@ from ldme import (
     PointSet,
     WeightFn,
     approx_top_eigenpair,
-    cov_matvec,
     project,
     weighted_mean,
     weighted_variance,
-    weighted_variance_along,
 )
 from oracles import (
+    cov_matvec,
     dense_weighted_cov,
     dot_naive,
     top_eigenpair_dense,
     weighted_mean_naive,
+    weighted_variance_along,
     weighted_variance_naive,
 )
 
@@ -281,6 +281,26 @@ class TestApproxTopEigenpair:
         ) < 1e-6
         lam, _ = top_eigenpair_dense(pts, np.ones(40))
         np.testing.assert_allclose(eig.value, lam, rtol=1e-9)
+
+    def test_one_dimension_needs_no_eigensolve(self, monkeypatch):
+        # In 1-D the pair is ([1.0], weighted variance), with no covariance
+        # and no eigh; it agrees with the dense oracle to rounding.
+        def refused(*args, **kwargs):
+            raise AssertionError("a 1-D eigenpair needs no eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(1, 80))
+            vals = rng.normal(size=n) * rng.uniform(0.1, 100) + rng.uniform(-1e3, 1e3)
+            wts = rng.uniform(0, 1, n)
+            wts[wts < 0.2] = 0.0
+            wts[rng.integers(0, n)] = 1.0
+            eig = approx_top_eigenpair(PointSet(vals[:, None]), WeightFn(wts))
+            assert eig.direction.tolist() == [1.0]
+            assert eig.value == weighted_variance(vals, WeightFn(wts))
+            want = float(dense_weighted_cov(vals[:, None], wts)[0, 0])
+            np.testing.assert_allclose(eig.value, want, rtol=1e-9, atol=1e-9 * want + 1e-12)
 
     def test_identical_points_degenerate(self):
         ps = PointSet(np.tile([2.0, -1.0, 3.0], (7, 1)))
