@@ -28,12 +28,14 @@ def lift(values):
 
 def show(name, values):
     w = WeightFn(np.ones(len(values)))
-    interval = quantile_interval(values, w, cfg.alpha)
-    tv = truncated_variance(values, w, interval.doubled())
+    a, b = quantile_interval(values, w, cfg.alpha)
+    # The gate reads the window with I's center and twice its half-width.
+    t, r = 0.5 * (a + b), 0.5 * (b - a)
+    tv = truncated_variance(values, w, (t - 2.0 * r, t + 2.0 * r))
     fv = weighted_variance(values, w)
     out = basic_multifilter(lift(values), w, e1, cfg.alpha, cfg)
     print(f"{name}:")
-    print(f"  quantile interval [{interval.a:8.2f}, {interval.b:8.2f}]")
+    print(f"  quantile interval [{a:8.2f}, {b:8.2f}]")
     print(f"  variance: windowed {tv:10.2f}   full {fv:10.2f}")
     print(f"  outcome: {out.tag}")
     for i, child in enumerate(out.children):

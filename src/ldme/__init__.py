@@ -36,7 +36,6 @@ from .listreduce import ReduceConfig, reduce_list
 from .multifilter import (
     DegenerateDownweight,
     InfeasibleSplit,
-    Interval,
     MultifilterOutcome,
     SplitParams,
     basic_multifilter,

@@ -17,9 +17,9 @@ from .dataio import (
     DataFormatError,
     load_hypotheses_json,
     load_points,
-    save_hypotheses_json,
     save_points_binary,
     save_points_csv,
+    write_json,
 )
 from .driver import HypothesisList, list_decode_mean
 from .experiment import load_config, run_experiment, run_sweep
@@ -33,7 +33,8 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
-# RunConfig fields that estimate and experiment take as flags: type, help.
+# Config fields taken as flags, field: (type, help). estimate and
+# experiment take the RunConfig ones, synth the InstanceSpec ones.
 RUN_FLAGS = {
     "alpha": (float, "assumed inlier fraction"),
     "sigma": (float, "inlier covariance scale"),
@@ -41,11 +42,22 @@ RUN_FLAGS = {
     "big_c": (float, None),
     "seed": (int, None),
 }
+SYNTH_FLAGS = {
+    "n": (int, None), "d": (int, None), "alpha": (float, None), "sigma": (float, None),
+    "inlier_model": (str, None), "adversary": (str, None), "decoys": (int, None),
+    "separation": (float, None), "noise_radius": (float, None), "outlier_file": (str, None),
+    "mean_radius": (float, None), "seed": (int, None),
+}
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    for key, (kind, text) in RUN_FLAGS.items():
+def _add_flags(parser: argparse.ArgumentParser, table: dict) -> None:
+    for key, (kind, text) in table.items():
         parser.add_argument("--" + key.replace("_", "-"), type=kind, dest=key, help=text)
+
+
+def _given(args, table: dict) -> dict:
+    """The flags of table set on the command line, by field name."""
+    return {key: getattr(args, key) for key in table if getattr(args, key) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate candidate means from a points file")
     est.add_argument("--input", required=True, help="points file (CSV or LDME binary)")
-    _add_run_flags(est)
+    _add_flags(est, RUN_FLAGS)
     est.add_argument("--out", help="write hypotheses JSON here (default stdout)")
     est.add_argument("--sep-const", type=float, dest="sep_const", default=8.0)
     est.add_argument("--no-reduce", action="store_true", help="skip list reduction")
@@ -67,22 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--out", required=True, help="points file to write")
     syn.add_argument("--meta", help="metadata JSON (true mean, inlier mask)")
     syn.add_argument("--format", choices=("csv", "bin"), default="csv")
-    syn.add_argument("--n", type=int)
-    syn.add_argument("--d", type=int)
-    syn.add_argument("--alpha", type=float)
-    syn.add_argument("--sigma", type=float)
-    syn.add_argument("--inlier-model", dest="inlier_model")
-    syn.add_argument("--adversary")
-    syn.add_argument("--decoys", type=int)
-    syn.add_argument("--separation", type=float)
-    syn.add_argument("--noise-radius", type=float, dest="noise_radius")
-    syn.add_argument("--outlier-file", dest="outlier_file")
-    syn.add_argument("--mean-radius", type=float, dest="mean_radius")
-    syn.add_argument("--seed", type=int)
+    _add_flags(syn, SYNTH_FLAGS)
 
     exp = sub.add_parser("experiment", help="run a config-driven experiment")
     exp.add_argument("--config", required=True)
-    _add_run_flags(exp)
+    _add_flags(exp, RUN_FLAGS)
     exp.add_argument("--out", help="override the report path")
     exp.add_argument("--trace", help="override the trace CSV path")
 
@@ -95,20 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_from_args(args, base: dict | None = None) -> RunConfig:
-    raw = dict(base or {})
-    for key in RUN_FLAGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
-    if "alpha" not in raw:
-        raise ConfigError("alpha: required (flag or config)")
-    return RunConfig(**raw)
-
-
 def _cmd_estimate(args) -> int:
     points = load_points(args.input)
-    cfg = _run_config_from_args(args)
+    if args.alpha is None:
+        raise ConfigError("alpha: required (flag or config)")
+    cfg = RunConfig(**_given(args, RUN_FLAGS))
     hyps, _ = list_decode_mean(points, cfg)
     payload: dict = {"alpha": cfg.alpha, "vectors": hyps.vectors.tolist()}
     if not args.no_reduce:
@@ -117,13 +109,7 @@ def _cmd_estimate(args) -> int:
         )
         payload["reduced"] = reduce_list(hyps, rc).vectors.tolist()
         payload["reduction_radius"] = rc.radius
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+    write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -134,69 +120,33 @@ def _cmd_synth(args) -> int:
             raw = json.load(fh)
         if "instance" in raw:
             raw = raw["instance"]
-    for key in (
-        "n",
-        "d",
-        "alpha",
-        "sigma",
-        "inlier_model",
-        "adversary",
-        "decoys",
-        "separation",
-        "noise_radius",
-        "outlier_file",
-        "mean_radius",
-        "seed",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
-    spec = InstanceSpec.from_dict(raw)
+    spec = InstanceSpec.from_dict({**raw, **_given(args, SYNTH_FLAGS)})
     points, mask, mean = gen_instance(spec)
     if args.format == "bin":
         save_points_binary(args.out, points)
     else:
         save_points_csv(args.out, points)
     if args.meta:
-        with open(args.meta, "w") as fh:
-            json.dump(
-                {
-                    "true_mean": mean.tolist(),
-                    "inlier_mask": mask.astype(int).tolist(),
-                    "n": spec.n,
-                    "d": spec.d,
-                    "alpha": spec.alpha,
-                    "seed": spec.seed,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        meta = {"true_mean": mean.tolist(), "inlier_mask": mask.astype(int).tolist(),
+                "n": spec.n, "d": spec.d, "alpha": spec.alpha, "seed": spec.seed}
+        write_json(meta, args.meta)
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    for key in RUN_FLAGS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg.setdefault("run", {})[key] = val
-            if key in ("alpha", "sigma", "seed"):
-                cfg.setdefault("instance", {})[key] = val
+    for key, val in _given(args, RUN_FLAGS).items():
+        cfg.setdefault("run", {})[key] = val
+        if key in ("alpha", "sigma", "seed"):
+            cfg.setdefault("instance", {})[key] = val
     if args.out:
         cfg.setdefault("output", {})["report"] = args.out
     if args.trace:
         cfg.setdefault("output", {})["trace"] = args.trace
     if cfg.get("seeds"):
-        reports = run_sweep(cfg)
-        summary = [r.to_dict() for r in reports]
-        json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        write_json([r.to_dict() for r in run_sweep(cfg)])
     else:
-        report = run_experiment(cfg)
-        sys.stdout.write(report.to_json())
-        sys.stdout.write("\n")
+        write_json(run_experiment(cfg).to_dict())
     return EXIT_OK
 
 
@@ -206,16 +156,7 @@ def _cmd_reduce(args) -> int:
         alpha=args.alpha, sep_const=args.sep_const, sigma_scale=args.sigma_scale
     )
     reduced = reduce_list(HypothesisList(vectors), rc)
-    if args.out:
-        save_hypotheses_json(args.out, reduced.vectors, extra={"radius": rc.radius})
-    else:
-        json.dump(
-            {"vectors": reduced.vectors.tolist(), "radius": rc.radius},
-            sys.stdout,
-            indent=2,
-            sort_keys=True,
-        )
-        sys.stdout.write("\n")
+    write_json({"vectors": reduced.vectors.tolist(), "radius": rc.radius}, args.out)
     return EXIT_OK
 
 

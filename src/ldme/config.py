@@ -9,6 +9,18 @@ class ConfigError(ValueError):
     """Raised when a configuration value is missing or out of range."""
 
 
+def from_section(cls, raw: dict, name: str):
+    """cls built from one config section: an unknown field or a value of
+    the wrong type is a ConfigError."""
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"{sorted(unknown)[0]}: unknown {name} field")
+    try:
+        return cls(**raw)
+    except TypeError as err:
+        raise ConfigError(f"{name}: {err}") from err
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """All universal constants of the estimator.

@@ -1,16 +1,20 @@
-"""Point-set and hypothesis file formats.
+"""Point-set and hypothesis file formats, and the JSON writer.
 
 CSV: one point per row, comma-separated decimal floats, no header.
 Binary: magic "LDME", then u32 n, u32 d, then n*d little-endian float64
-values in row-major order.
+values in row-major order. A points file with no points is refused.
+Hypotheses: {"vectors": [[...], ...]} plus optional metadata.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+
+from .driver import HypothesisList
 
 MAGIC = b"LDME"
 
@@ -24,7 +28,21 @@ def save_points_csv(path, points) -> None:
     np.savetxt(path, pts, delimiter=",", fmt="%.17g")
 
 
+def write_json(payload, path=None) -> None:
+    """Write payload as indented, key-sorted JSON and a newline, to path or stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def load_points_csv(path) -> np.ndarray:
+    # loadtxt warns on a file without rows, so look for a first row here.
+    with open(path, errors="replace") as fh:
+        if not any(line.split("#", 1)[0].strip() for line in fh):
+            raise DataFormatError(f"{path}: no points")
     try:
         pts = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as err:
@@ -50,6 +68,8 @@ def load_points_binary(path) -> np.ndarray:
         if header.size != 2:
             raise DataFormatError(f"{path}: truncated header")
         n, d = int(header[0]), int(header[1])
+        if n == 0 or d == 0:
+            raise DataFormatError(f"{path}: no points (n={n}, d={d})")
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != n * d:
         raise DataFormatError(
@@ -69,16 +89,14 @@ def load_points(path) -> np.ndarray:
 
 
 def save_hypotheses_json(path, vectors, extra: dict | None = None) -> None:
+    """An empty list is written as {"vectors": []}."""
     arr = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    payload = {"vectors": arr.tolist()}
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"vectors": arr.tolist(), **(extra or {})}, path)
 
 
 def load_hypotheses_json(path) -> np.ndarray:
+    """The vectors as an (m, d) array, read as HypothesisList reads them:
+    one flat list is one vector, and an empty list gives shape (0, 0)."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -86,4 +104,10 @@ def load_hypotheses_json(path) -> np.ndarray:
             raise DataFormatError(f"{path}: invalid JSON ({err})") from err
     if not isinstance(payload, dict) or "vectors" not in payload:
         raise DataFormatError(f"{path}: missing 'vectors' key")
-    return np.atleast_2d(np.asarray(payload["vectors"], dtype=np.float64))
+    try:
+        arr = HypothesisList(payload["vectors"]).vectors
+        if not np.isfinite(arr).all():
+            raise ValueError("entries must be finite")
+    except (TypeError, ValueError) as err:
+        raise DataFormatError(f"{path}: 'vectors' is not a list of number lists ({err})") from err
+    return arr

@@ -22,20 +22,6 @@ from .config import RunConfig
 from .multifilter import InfeasibleSplit, MultifilterOutcome, basic_multifilter
 from .wdata import EigenPair, PointSet, WeightFn, approx_top_eigenpair, weighted_mean
 
-__all__ = [
-    "RunConfig",
-    "BranchState",
-    "TraceEvent",
-    "HypothesisList",
-    "SubroutineResult",
-    "DriverStep",
-    "preprocess_rescale",
-    "postprocess_unscale",
-    "main_subroutine",
-    "list_decode_mean",
-]
-
-
 @dataclass(frozen=True)
 class BranchState:
     """One live node of the search tree: positive weights on its support.
@@ -265,10 +251,7 @@ def list_decode_mean(
         (HypothesisList, trace events). The trace is empty when cfg.trace
         is false.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    ps = preprocess_rescale(pts, cfg)
+    ps = preprocess_rescale(points, cfg)
     n = ps.n
 
     mask = None

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
-from .dataio import save_hypotheses_json
+from .config import ConfigError, RunConfig, from_section
+from .dataio import save_hypotheses_json, write_json
 from .driver import list_decode_mean
 from .instances import InstanceSpec, gen_instance, load_outliers
 from .listreduce import ReduceConfig, reduce_list
@@ -34,14 +34,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _section(cls, raw: dict, name: str):
-    """cls built from one config section; an unknown field is an error."""
-    unknown = set(raw) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown {name} field")
-    return cls(**raw)
-
-
 def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict]:
     if "instance" not in cfg:
         raise ConfigError("instance: section is required")
@@ -51,12 +43,12 @@ def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict
     run_raw.setdefault("alpha", spec.alpha)
     run_raw.setdefault("sigma", spec.sigma)
     run_raw.setdefault("seed", spec.seed)
-    run_cfg = _section(RunConfig, run_raw, "run")
+    run_cfg = from_section(RunConfig, run_raw, "run")
 
     red_raw = dict(cfg.get("reduce", {}))
     red_raw.setdefault("alpha", run_cfg.alpha)
     red_raw.setdefault("sigma_scale", run_cfg.rescale_factor)
-    red_cfg = _section(ReduceConfig, red_raw, "reduce")
+    red_cfg = from_section(ReduceConfig, red_raw, "reduce")
 
     output = dict(cfg.get("output", {}))
     return spec, run_cfg, red_cfg, output
@@ -110,7 +102,7 @@ def run_experiment(
     )
 
     if output.get("report"):
-        report.write(output["report"])
+        write_json(report.to_dict(), output["report"])
     if output.get("trace"):
         write_trace_csv(output["trace"], trace)
     if output.get("hypotheses"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, from_section
 from .dataio import load_points
 
 INLIER_MODELS = ("gaussian_identity", "heavy_tail_student_t", "bounded_uniform")
@@ -113,14 +113,7 @@ class InstanceSpec:
             data["mean_radius"] = float(match.group(1))
         elif mean is not None:
             data["true_mean"] = np.asarray(mean, dtype=np.float64)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"{sorted(unknown)[0]}: unknown instance field")
-        try:
-            return cls(**data)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
+        return from_section(cls, data, "instance")
 
 
 def _unit_shapes(model: str, dof: float, count: int, d: int, rng) -> np.ndarray:
@@ -129,10 +122,8 @@ def _unit_shapes(model: str, dof: float, count: int, d: int, rng) -> np.ndarray:
         return rng.standard_normal((count, d))
     if model == "heavy_tail_student_t":
         return rng.standard_t(dof, size=(count, d)) * math.sqrt((dof - 2.0) / dof)
-    if model == "bounded_uniform":
-        half = math.sqrt(3.0)
-        return rng.uniform(-half, half, size=(count, d))
-    raise ConfigError(f"inlier_model: unknown model {model!r}")
+    half = math.sqrt(3.0)  # bounded_uniform; InstanceSpec checked the name
+    return rng.uniform(-half, half, size=(count, d))
 
 
 def _equidistant_centers(base: np.ndarray, k: int, sep: float, d: int) -> np.ndarray:

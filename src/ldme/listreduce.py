@@ -55,5 +55,4 @@ def reduce_list(hyps: HypothesisList, rc: ReduceConfig) -> HypothesisList:
             kept.append(vec)
     if kept:
         return HypothesisList(np.vstack(kept))
-    d = hyps.vectors.shape[1] if hyps.vectors.ndim == 2 else 0
-    return HypothesisList(np.zeros((0, d)))
+    return HypothesisList(np.zeros((0, hyps.vectors.shape[1])))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .wdata import PointSet, WeightFn, project, weighted_variance
+from .wdata import PointSet, WeightFn, _variance, project, weighted_variance
 
 # Candidates per block of the split search: every temporary of the search is
 # this long, whatever the support's size.
@@ -35,31 +35,6 @@ class InfeasibleSplit(RuntimeError):
     def __init__(self, message: str, details: dict | None = None) -> None:
         super().__init__(message)
         self.details = details or {}
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [a, b] with center t and half-width R."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not self.a <= self.b:
-            raise ValueError(f"interval needs a <= b, got [{self.a}, {self.b}]")
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.b - self.a)
-
-    def doubled(self) -> "Interval":
-        """The interval with the same center and twice the half-width."""
-        t, r = self.center, self.half_width
-        return Interval(t - 2.0 * r, t + 2.0 * r)
 
 
 @dataclass(frozen=True)
@@ -96,28 +71,14 @@ class MultifilterOutcome:
     split_params: SplitParams | None = None
     rows: tuple[np.ndarray, ...] = ()
 
-    @classmethod
-    def certified(cls) -> "MultifilterOutcome":
-        return cls(tag="certified")
 
-    @classmethod
-    def reweighted(cls, new_weights: WeightFn, rows: np.ndarray | slice) -> "MultifilterOutcome":
-        return cls(tag="reweighted", children=(new_weights,), rows=(rows,))
-
-    @classmethod
-    def split(
-        cls, left: WeightFn, right: WeightFn, params: SplitParams, rows: tuple
-    ) -> "MultifilterOutcome":
-        return cls(tag="split", children=(left, right), split_params=params, rows=rows)
-
-
-def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float) -> np.ndarray:
+def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float | None = None) -> np.ndarray:
     p = np.asarray(projections, dtype=np.float64)
     if p.ndim != 1 or p.shape != w.weights.shape:
         raise ValueError("projections and weights must have matching length")
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    if not 0.0 < alpha < 2.0:
+    if alpha is not None and not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must be in (0, 2), got {alpha}")
     return p
 
@@ -130,8 +91,8 @@ def _rows(order: np.ndarray | slice, at: slice) -> np.ndarray | slice:
 
 def quantile_interval(
     projections: np.ndarray, w: WeightFn, alpha: float, order: np.ndarray | None = None
-) -> Interval:
-    """Central interval [a, b] trimming alpha*w(T)/8 of weight per side.
+) -> tuple[float, float]:
+    """Central interval (a, b) trimming alpha*w(T)/8 of weight per side.
 
     a is the largest sample value whose strictly-smaller weight is at most
     the trim threshold; b symmetrically from above. Both endpoints are
@@ -157,38 +118,42 @@ def quantile_interval(
     # The weight above position k, total - cum[k], is 0 by definition at the
     # last position; that shields cumsum round-off.
     jb = _first(lambda k: w.total - cum[k] <= tau, len(cum) - 1)
-    return Interval(float(vals[ja]), float(vals[jb]))
+    return float(vals[ja]), float(vals[jb])
+
+
+def _doubled(interval: tuple[float, float]) -> tuple[float, float]:
+    """The window with the center of (a, b) and twice its half-width."""
+    a, b = interval
+    t, r = 0.5 * (a + b), 0.5 * (b - a)
+    return t - 2.0 * r, t + 2.0 * r
 
 
 def truncated_variance(
-    projections: np.ndarray, w: WeightFn, window: Interval, order: np.ndarray | None = None
+    projections: np.ndarray, w: WeightFn, window: tuple[float, float],
+    order: np.ndarray | None = None,
 ) -> float:
-    """Weighted variance of the projections restricted to the window.
+    """Weighted variance of the projections restricted to the window (a, b).
 
     In ascending order the window [a, b] is one run of positions, found by
     one binary search per end; only that run is read. ``order`` is as for
     quantile_interval.
     """
-    p = np.asarray(projections, dtype=np.float64)
-    if p.shape != w.weights.shape:
-        raise ValueError("projections and weights must have matching length")
+    p = _check_inputs(projections, w)
     if order is None:
         order = np.argsort(p)
     vals, wts = p[order], w.weights[order]
-    i0 = int(np.searchsorted(vals, window.a, side="left"))
-    i1 = int(np.searchsorted(vals, window.b, side="right"))
+    i0 = int(np.searchsorted(vals, window[0], side="left"))
+    i1 = int(np.searchsorted(vals, window[1], side="right"))
     vals, wts = vals[i0:i1], wts[i0:i1]
     total = float(wts.sum())
     if total <= 0.0:
         raise ValueError("no weight inside the window")
-    mean = float(wts @ vals) / total
-    dev = vals - mean
-    dev *= dev
-    return float(wts @ dev) / total
+    return _variance(vals, wts, total)
 
 
 def soft_downweight(
-    projections: np.ndarray, w: WeightFn, interval: Interval, order: np.ndarray | None = None
+    projections: np.ndarray, w: WeightFn, interval: tuple[float, float],
+    order: np.ndarray | None = None,
 ) -> tuple[WeightFn, np.ndarray | slice]:
     """Downweight each point by its squared distance from the interval.
 
@@ -212,20 +177,20 @@ def soft_downweight(
         lies in a dropped end.
 
     Raises:
+        ValueError: a > b.
         DegenerateDownweight: every supported point lies inside [a, b].
     """
-    p = np.asarray(projections, dtype=np.float64)
-    if p.shape != w.weights.shape:
-        raise ValueError("projections and weights must have matching length")
-    if w.total <= 0.0:
-        raise ValueError("weight function has zero total mass")
+    p = _check_inputs(projections, w)
+    a, b = interval
+    if not a <= b:
+        raise ValueError(f"interval needs a <= b, got [{a}, {b}]")
     if order is None:
         order = np.argsort(p)
     vals, wts = p[order], w.weights[order]
-    ia = int(np.searchsorted(vals, interval.a, side="left"))
-    ib = int(np.searchsorted(vals, interval.b, side="right"))
-    below = interval.a - vals[:ia]
-    above = vals[ib:] - interval.b
+    ia = int(np.searchsorted(vals, a, side="left"))
+    ib = int(np.searchsorted(vals, b, side="right"))
+    below = a - vals[:ia]
+    above = vals[ib:] - b
     below *= below
     above *= above
     fmax = max(
@@ -475,8 +440,6 @@ def basic_multifilter(
             than silently degrade the guarantees.
     """
     proj = project(ps, v)
-    if w.total <= 0.0:
-        raise ValueError("weight function has zero total mass")
     ascending = slice(None)  # handed to every step below
     if sorted_along is not None and np.array_equal(v, sorted_along):
         order = ascending
@@ -486,11 +449,11 @@ def basic_multifilter(
     interval = quantile_interval(proj, w, alpha, ascending)
     lg = np.log2(2.0 / alpha)
     gate = cfg.big_c * lg * lg
-    if truncated_variance(proj, w, interval.doubled(), ascending) <= gate:
+    if truncated_variance(proj, w, _doubled(interval), ascending) <= gate:
         if weighted_variance(proj, w) <= 2.0 * gate:
-            return MultifilterOutcome.certified()
+            return MultifilterOutcome("certified")
         new, kept = soft_downweight(proj, w, interval, ascending)
-        return MultifilterOutcome.reweighted(new, _rows(order, kept))
+        return MultifilterOutcome("reweighted", (new,), rows=(_rows(order, kept),))
     sp = find_split(proj, w, alpha, ascending)
     if sp is None:
         raise InfeasibleSplit(
@@ -499,7 +462,7 @@ def basic_multifilter(
                 "alpha": alpha,
                 "total_weight": w.total,
                 "supported": int((w.weights > 0).sum()),
-                "interval": (interval.a, interval.b),
+                "interval": interval,
                 "variance_gate": gate,
             },
         )
@@ -508,4 +471,4 @@ def basic_multifilter(
     right = WeightFn._own(w.weights[lo:].copy())
     left = WeightFn._own(w.weights[:hi].copy())
     rows = (_rows(order, slice(lo, None)), _rows(order, slice(None, hi)))
-    return MultifilterOutcome.split(right, left, sp, rows)
+    return MultifilterOutcome("split", (right, left), sp, rows)

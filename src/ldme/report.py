@@ -109,8 +109,3 @@ class Report:
 
     def to_json(self, include_wall_time: bool = True) -> str:
         return json.dumps(self.to_dict(include_wall_time), indent=2, sort_keys=True)
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")

@@ -2,9 +2,9 @@
 
 A PointSet is an immutable n x d sample matrix; every soft-filtering state
 lives in a WeightFn attached to it. Means, variances and projections cost
-O(n*d). The top eigenpair is exact: the d x d weighted covariance of the
-supported rows is formed block by block in O(|supp| d^2) and handed to a
-dense symmetric eigensolver, O(d^3); in 1-D it is the weighted variance.
+O(n*d). The top eigenpair is exact: the d x d weighted covariance is
+formed block by block in O(n d^2) and handed to a dense symmetric
+eigensolver, O(d^3); in 1-D it is the weighted variance.
 """
 
 from __future__ import annotations
@@ -124,11 +124,6 @@ class EigenPair:
     direction: np.ndarray
 
 
-def _check_pair(ps: PointSet, w: WeightFn) -> None:
-    if len(w) != ps.n:
-        raise ValueError(f"weight length {len(w)} does not match n={ps.n}")
-
-
 def _check_unit(v: np.ndarray, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (d,):
@@ -152,7 +147,8 @@ def project(ps: PointSet, v: np.ndarray) -> np.ndarray:
 
 def weighted_mean(ps: PointSet, w: WeightFn) -> np.ndarray:
     """Mean of the points under w, (1/w(T)) * sum_x w(x) x."""
-    _check_pair(ps, w)
+    if len(w) != ps.n:
+        raise ValueError(f"weight length {len(w)} does not match n={ps.n}")
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
     return (w.weights @ ps.points) / w.total
@@ -165,33 +161,30 @@ def weighted_variance(values: np.ndarray, w: WeightFn) -> float:
         raise ValueError("values and weights must have matching length")
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    mean = float(w.weights @ values) / w.total
-    dev = values - mean
+    return _variance(values, w.weights, w.total)
+
+
+def _variance(vals: np.ndarray, wts: np.ndarray, total: float) -> float:
+    """The two-pass weighted variance of vals under wts, whose sum is total."""
+    mean = float(wts @ vals) / total
+    dev = vals - mean
     dev *= dev
-    return float(w.weights @ dev) / w.total
+    return float(wts @ dev) / total
 
 
 def _weighted_cov(ps: PointSet, w: WeightFn) -> np.ndarray:
     """The d x d weighted covariance, (1/w(T)) * sum_x w(x) (x - mu)(x - mu)'.
 
-    Only rows with positive weight enter. They are centered and scaled by
-    sqrt(w) a block of about BLOCK_ELEMENTS entries at a time, so no n x d
-    temporary is ever made. O(n + |supp| d^2).
+    The rows are centered and scaled by sqrt(w) a block of about
+    BLOCK_ELEMENTS entries at a time, so no n x d temporary is ever made;
+    a zero-weight row adds exact zeros. O(n d^2).
     """
-    _check_pair(ps, w)
-    if w.total <= 0.0:
-        raise ValueError("weight function has zero total mass")
     mu = weighted_mean(ps, w)
     cov = np.zeros((ps.d, ps.d))
     step = max(1, BLOCK_ELEMENTS // ps.d)
     for start in range(0, ps.n, step):
-        block = ps.points[start : start + step]
-        wb = w.weights[start : start + step]
-        keep = wb > 0.0
-        if not keep.all():
-            block, wb = block[keep], wb[keep]
-        y = block - mu
-        y *= np.sqrt(wb)[:, None]
+        y = ps.points[start : start + step] - mu
+        y *= np.sqrt(w.weights[start : start + step])[:, None]
         cov += y.T @ y
     return cov / w.total
 
@@ -199,16 +192,17 @@ def _weighted_cov(ps: PointSet, w: WeightFn) -> np.ndarray:
 def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
     """Top eigenpair of the weighted covariance, by a dense symmetric solve.
 
-    Forms the d x d weighted covariance of the supported rows and calls
+    Forms the d x d weighted covariance of the rows and calls
     ``np.linalg.eigh``, so the pair is exact up to rounding: the value is
     the top eigenvalue, which is also the Rayleigh quotient of the returned
     unit direction. The direction's sign is fixed by making its component of
     largest magnitude non-negative, so it does not depend on LAPACK's sign
-    choice. Deterministic. O(|supp| d^2 + d^3).
+    choice. Deterministic. O(n d^2 + d^3); the driver passes only a
+    branch's supported rows.
 
     In 1-D there is nothing to solve: the direction is [1.0] and the value
     the weighted variance of the one coordinate, a two-pass sum over the
-    rows in their order, O(|supp|). It can differ from the 1 x 1
+    rows in their order, O(n). It can differ from the 1 x 1
     covariance's entry in the last bits.
 
     Args:
@@ -220,7 +214,6 @@ def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
         the value is 0 and the direction an arbitrary unit vector.
     """
     if ps.d == 1:
-        _check_pair(ps, w)
         return EigenPair(value=weighted_variance(ps.points[:, 0], w), direction=np.ones(1))
     cov = _weighted_cov(ps, w)
     v = np.linalg.eigh(cov)[1][:, -1].copy()

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -84,3 +85,39 @@ def test_hypotheses_json_missing_key(tmp_path):
     path.write_text("{}")
     with pytest.raises(DataFormatError):
         load_hypotheses_json(path)
+
+
+def test_empty_hypothesis_list_round_trips(tmp_path):
+    path = tmp_path / "h.json"
+    save_hypotheses_json(path, np.zeros((0, 3)))
+    assert json.loads(path.read_text()) == {"vectors": []}
+    assert load_hypotheses_json(path).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "vectors", [[[1.0, 2.0], [3.0]], [["a", "b"]], [[1.0, None]], [[[1.0]]], 5.0]
+)
+def test_ragged_or_non_numeric_hypotheses_raise(tmp_path, vectors):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"vectors": vectors}))
+    with pytest.raises(DataFormatError):
+        load_hypotheses_json(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n  \n", "# a comment only\n"])
+def test_csv_without_points_raises(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match="no points"):
+        load_points_csv(path)
+    with pytest.raises(DataFormatError, match="no points"):
+        load_points(path)
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (4, 0)])
+def test_binary_without_points_raises(tmp_path, n, d):
+    path = tmp_path / "empty.ldme"
+    path.write_bytes(b"LDME" + struct.pack("<II", n, d))
+    with pytest.raises(DataFormatError, match="no points"):
+        load_points(path)

@@ -454,8 +454,8 @@ class TestSortedBranches:
             assert k0 + len(rows) - k1 >= 1
             np.testing.assert_array_equal(child.rows, rows[k0:k1])
             # The rows inside the quantile interval keep their weights bit for bit.
-            iv = quantile_interval(x, WeightFn(w), cfg.alpha)
-            inside = (x[k0:k1] >= iv.a) & (x[k0:k1] <= iv.b)
+            a, b = quantile_interval(x, WeightFn(w), cfg.alpha)
+            inside = (x[k0:k1] >= a) & (x[k0:k1] <= b)
             assert inside.sum() >= 0.5 * len(rows)
             np.testing.assert_array_equal(child.weights.weights[inside], w[k0:k1][inside])
 

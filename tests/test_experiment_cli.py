@@ -308,3 +308,33 @@ class TestCli:
         assert main(["synth", "--out", str(a)] + args) == 0
         assert main(["synth", "--out", str(b)] + args) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("section, field", [("run", "big_c"), ("reduce", "sep_const")])
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, section, field):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(SMOKE.read_text())
+        cfg[section][field] = "20"
+        bad.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(bad)]) == 2
+        assert f"ldme: config error: {section}: " in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name, data", [("pts.csv", b""), ("pts.ldme", b"LDME\0\0\0\0\3\0\0\0")]
+    )
+    def test_estimate_on_file_without_points_exits_4(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["estimate", "--input", str(path), "--alpha", "0.2"]) == 4
+        assert "ldme: data error:" in capsys.readouterr().err
+
+    def test_reduce_keeps_an_empty_list_empty(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text('{"vectors": []}')
+        assert main(["reduce", "--input", str(path), "--alpha", "0.2"]) == 0
+        assert json.loads(capsys.readouterr().out)["vectors"] == []
+
+    def test_reduce_on_ragged_list_exits_4(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"vectors": [[1.0, 2.0], [3.0]]}')
+        assert main(["reduce", "--input", str(path), "--alpha", "0.2"]) == 4

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ldme import (
     DegenerateDownweight,
-    Interval,
     PointSet,
     RunConfig,
     WeightFn,
@@ -17,6 +18,7 @@ from ldme import (
     truncated_variance,
     weighted_variance,
 )
+from ldme.multifilter import _doubled
 from auditing import scatter
 from oracles import (
     quantile_interval_naive,
@@ -36,33 +38,55 @@ def embed_1d(values):
 E1 = np.array([1.0, 0.0])
 
 
-class TestInterval:
-    def test_requires_ordered_endpoints(self):
-        with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
+# Zero or a magnitude in [1e-300, 1e12]. There every sum and difference of
+# two values is a multiple of 2^-1049, so halving it is exact. Far below,
+# 0.5 * (b - a) can round to 0: (0, 5e-324) doubles to (0, 0).
+COORDS = st.one_of(st.just(0.0), st.floats(1e-300, 1e12), st.floats(-1e12, -1e-300))
 
-    def test_doubled_contains_original(self):
-        iv = Interval(-1.0, 5.0)
-        big = iv.doubled()
-        assert big.a <= iv.a and big.b >= iv.b
-        assert big.center == pytest.approx(iv.center)
-        assert big.half_width == pytest.approx(2 * iv.half_width)
+
+@st.composite
+def ordered_pairs(draw):
+    """a <= b: up to four floats apart, a small width apart, or anywhere."""
+    a = draw(COORDS)
+    how = draw(st.integers(0, 2))
+    if how == 0:
+        b = a
+        for _ in range(draw(st.integers(0, 4))):
+            b = float(np.nextafter(b, np.inf))
+    elif how == 1:
+        b = a + draw(st.floats(0.0, 1e3))
+    else:
+        b = draw(COORDS)
+    assume(b == 0.0 or 1e-300 <= abs(b) <= 1e12)
+    return min(a, b), max(a, b)
+
+
+class TestDoubledWindow:
+    @settings(derandomize=True, deadline=None, max_examples=3000)
+    @given(ordered_pairs())
+    def test_contains_the_interval(self, pair):
+        a, b = pair
+        lo, hi = _doubled(pair)
+        assert lo <= a and hi >= b
+
+    def test_center_and_half_width(self):
+        assert _doubled((-1.0, 5.0)) == (-4.0, 8.0)
 
 
 class TestQuantileInterval:
     def test_unit_weights_integer_grid(self):
         iv = quantile_interval(np.arange(10.0), WeightFn(np.ones(10)), 0.8)
-        assert (iv.a, iv.b) == (1.0, 8.0)
+        assert iv == (1.0, 8.0)
 
     def test_single_supported_point(self):
         iv = quantile_interval(
             np.array([5.0, -3.0, 9.0]), WeightFn([0.0, 1.0, 0.0]), 0.3
         )
-        assert (iv.a, iv.b) == (-3.0, -3.0)
+        assert iv == (-3.0, -3.0)
 
     def test_tiny_weight_above(self):
         iv = quantile_interval(np.array([0.0, 100.0]), WeightFn([1.0, 0.001]), 0.4)
-        assert (iv.a, iv.b) == (0.0, 0.0)
+        assert iv == (0.0, 0.0)
 
     def test_random_matches_naive_scan(self):
         rng = np.random.default_rng(20)
@@ -73,8 +97,7 @@ class TestQuantileInterval:
             wts[rng.integers(0, n)] = 1.0
             alpha = float(rng.uniform(0.02, 0.49))
             iv = quantile_interval(proj, WeightFn(wts), alpha)
-            a, b = quantile_interval_naive(proj, wts, alpha)
-            assert iv.a == a and iv.b == b
+            assert iv == quantile_interval_naive(proj, wts, alpha)
 
     def test_zero_total_raises(self):
         with pytest.raises(ValueError):
@@ -92,8 +115,8 @@ class TestQuantileInterval:
                 p, w = proj[perm], wts[perm]
                 reordered += not np.array_equal(np.argsort(p), np.argsort(p, kind="stable"))
                 iv = quantile_interval(p, WeightFn(w), alpha)
-                assert (iv.a, iv.b) == (want.a, want.b)
-                assert (iv.a, iv.b) == quantile_interval_naive(p, w, alpha)
+                assert iv == want
+                assert iv == quantile_interval_naive(p, w, alpha)
         assert reordered >= 100  # the default sort did reorder ties
 
 
@@ -101,11 +124,11 @@ class TestTruncatedVariance:
     def test_constant_data(self):
         w = WeightFn([0.3, 0.7, 0.0])
         proj = np.array([4.0, 4.0, 9.0])
-        assert truncated_variance(proj, w, Interval(0.0, 5.0)) == 0.0
+        assert truncated_variance(proj, w, (0.0, 5.0)) == 0.0
 
     def test_outside_point_excluded(self):
         proj = np.array([0.0, 2.0, 100.0])
-        got = truncated_variance(proj, WeightFn(np.ones(3)), Interval(-1.0, 3.0))
+        got = truncated_variance(proj, WeightFn(np.ones(3)), (-1.0, 3.0))
         assert got == pytest.approx(1.0)
 
     def test_random_matches_filtered_naive(self):
@@ -115,14 +138,14 @@ class TestTruncatedVariance:
             wts = rng.uniform(0.01, 1, 50)
             lo = float(np.quantile(proj, 0.2))
             hi = float(np.quantile(proj, 0.9))
-            got = truncated_variance(proj, WeightFn(wts), Interval(lo, hi))
+            got = truncated_variance(proj, WeightFn(wts), (lo, hi))
             want = truncated_variance_naive(proj, wts, lo, hi)
             np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_zero_weight_inside_raises(self):
         with pytest.raises(ValueError):
             truncated_variance(
-                np.array([0.0, 10.0]), WeightFn([0.0, 1.0]), Interval(-1.0, 1.0)
+                np.array([0.0, 10.0]), WeightFn([0.0, 1.0]), (-1.0, 1.0)
             )
 
 
@@ -134,24 +157,28 @@ def downweighted(proj, w, interval):
 
 class TestSoftDownweight:
     def test_argmax_zeroed_inside_untouched(self):
-        w = downweighted(np.array([0.0, 10.0]), WeightFn([1.0, 1.0]), Interval(0.0, 1.0))
+        w = downweighted(np.array([0.0, 10.0]), WeightFn([1.0, 1.0]), (0.0, 1.0))
         np.testing.assert_array_equal(w, [1.0, 0.0])
 
     def test_direct_formula(self):
         w = downweighted(
-            np.array([0.0, 3.0, 6.0]), WeightFn(np.ones(3)), Interval(0.0, 2.0)
+            np.array([0.0, 3.0, 6.0]), WeightFn(np.ones(3)), (0.0, 2.0)
         )
         np.testing.assert_allclose(w, [1.0, 15.0 / 16.0, 0.0])
 
     def test_max_over_supported_points_only(self):
         w = downweighted(
-            np.array([-5.0, 0.0, 5.0]), WeightFn([1.0, 1.0, 0.0]), Interval(-1.0, 1.0)
+            np.array([-5.0, 0.0, 5.0]), WeightFn([1.0, 1.0, 0.0]), (-1.0, 1.0)
         )
         np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
 
+    def test_unordered_interval_raises(self):
+        with pytest.raises(ValueError, match="a <= b"):
+            soft_downweight(np.array([0.0, 5.0]), WeightFn([1.0, 1.0]), (2.0, 1.0))
+
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateDownweight):
-            soft_downweight(np.array([0.0, 0.5]), WeightFn([1.0, 1.0]), Interval(0.0, 1.0))
+            soft_downweight(np.array([0.0, 0.5]), WeightFn([1.0, 1.0]), (0.0, 1.0))
 
     def test_monotone_and_zeroes_argmax(self):
         rng = np.random.default_rng(22)
@@ -163,7 +190,7 @@ class TestSoftDownweight:
             f = np.maximum(lo - proj, 0) + np.maximum(proj - hi, 0)
             if not (f[wts > 0] > 0).any():
                 continue
-            w_new = downweighted(proj, WeightFn(wts), Interval(lo, hi))
+            w_new = downweighted(proj, WeightFn(wts), (lo, hi))
             assert (w_new <= wts + 1e-15).all()
             assert ((wts > 0) & (w_new == 0.0)).any()
 
@@ -410,10 +437,10 @@ class TestSortedKernel:
                 assert k0 + len(vals) - k1 >= 1
                 np.testing.assert_array_equal(at, asc[k0:k1])
                 assert (new.weights > 0.0).all()
-                iv = quantile_interval(vals, WeightFn(wts), 0.2)
-                inside = (vals[at] >= iv.a) & (vals[at] <= iv.b)
+                a, b = quantile_interval(vals, WeightFn(wts), 0.2)
+                inside = (vals[at] >= a) & (vals[at] <= b)
                 np.testing.assert_array_equal(new.weights[inside], wts[at][inside])
-                naive = np.array(soft_downweight_naive(vals, wts, iv.a, iv.b))
+                naive = np.array(soft_downweight_naive(vals, wts, a, b))
                 np.testing.assert_array_equal(new.weights, naive[at])
                 assert not np.delete(naive, at).any()
                 seen[presorted] += 1
@@ -451,22 +478,22 @@ class TestSortedKernel:
             lo, hi = np.sort(rng.choice(proj, 2))
             w = WeightFn(wts)
             if wts[(proj >= lo) & (proj <= hi)].sum() > 0.0:
-                got = truncated_variance(proj, w, Interval(lo, hi))
-                assert got == truncated_variance(proj, w, Interval(lo, hi), order)
+                got = truncated_variance(proj, w, (lo, hi))
+                assert got == truncated_variance(proj, w, (lo, hi), order)
                 assert got == truncated_variance(
-                    proj[order], WeightFn(wts[order]), Interval(lo, hi), slice(None)
+                    proj[order], WeightFn(wts[order]), (lo, hi), slice(None)
                 )
                 want = truncated_variance_naive(proj, wts, lo, hi)
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
             outside = (proj < lo) | (proj > hi)
             if not (wts[outside] > 0.0).any():
                 with pytest.raises(DegenerateDownweight):
-                    soft_downweight(proj, w, Interval(lo, hi))
+                    soft_downweight(proj, w, (lo, hi))
                 continue
-            got = downweighted(proj, w, Interval(lo, hi))
+            got = downweighted(proj, w, (lo, hi))
             np.testing.assert_array_equal(got, soft_downweight_naive(proj, wts, lo, hi))
             new, rows = soft_downweight(
-                proj[order], WeightFn(wts[order]), Interval(lo, hi), slice(None)
+                proj[order], WeightFn(wts[order]), (lo, hi), slice(None)
             )
             np.testing.assert_array_equal(scatter(new, order[rows], len(proj)), got)
         assert zeros_seen >= 50
