@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -11,7 +12,7 @@ class ConfigError(ValueError):
 
 def from_section(cls, raw: dict, name: str):
     """cls built from one config section: an unknown field or a value of
-    the wrong type is a ConfigError."""
+    the wrong type (a TypeError from cls) is a ConfigError."""
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown {name} field")
@@ -45,6 +46,11 @@ class RunConfig:
     trace: bool = True
 
     def __post_init__(self) -> None:
+        # numbers.Integral takes numpy integers too, and bool, refused here.
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise TypeError(f"seed: must be an integer, got {self.seed!r}")
+        if not isinstance(self.trace, bool):
+            raise TypeError(f"trace: must be true or false, got {self.trace!r}")
         if not 0.0 < self.alpha < 0.5:
             raise ConfigError(f"alpha: must be in (0, 1/2), got {self.alpha}")
         if not self.sigma > 0.0:

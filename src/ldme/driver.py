@@ -1,4 +1,4 @@
-"""Worklist driver: rescale, filter branches to exhaustion, collect means.
+"""Worklist driver: center and rescale, filter branches to exhaustion, collect means.
 
 Branches carry positive weights on their support, a set of rows of one
 shared immutable point set. Each branch is processed by one spectral
@@ -26,9 +26,9 @@ from .wdata import EigenPair, PointSet, WeightFn, approx_top_eigenpair, weighted
 class BranchState:
     """One live node of the search tree: positive weights on its support.
 
-    rows holds the row indices of the support into the rescaled PointSet
-    and weights one positive weight per row; rows=None stands for every row
-    in input order, as at the root. sorted_along is the direction along
+    rows holds the row indices of the support into the centered, rescaled
+    PointSet and weights one positive weight per row; rows=None stands for
+    every row in input order, as at the root. sorted_along is the direction along
     which the rows' projections ascend, or None. A pass along that same
     direction, bit for bit, needs no sort.
     """
@@ -118,13 +118,21 @@ class DriverStep:
 
 
 def preprocess_rescale(points, cfg: RunConfig) -> PointSet:
-    """Divide every coordinate by scale_c * sigma (RunConfig checks sigma > 0)."""
-    return PointSet(points, scale=cfg.rescale_factor)
+    """The points centered on their column mean, then divided by
+    scale_c * sigma (RunConfig checks sigma > 0).
+
+    The set's center holds that mean, in the input's coordinates. Working
+    relative to it keeps the rounding of every later step at the scale of
+    the sample's spread, not of its offset from the origin.
+    """
+    return PointSet._centered(points, cfg.rescale_factor)
 
 
-def postprocess_unscale(hyps: HypothesisList, cfg: RunConfig) -> HypothesisList:
-    """Multiply hypotheses back by scale_c * sigma."""
-    return HypothesisList(hyps.vectors * cfg.rescale_factor)
+def postprocess_unscale(
+    hyps: HypothesisList, cfg: RunConfig, center: np.ndarray
+) -> HypothesisList:
+    """Multiply hypotheses back by scale_c * sigma and add the center back."""
+    return HypothesisList(hyps.vectors * cfg.rescale_factor + center)
 
 
 def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> SubroutineResult:
@@ -231,10 +239,11 @@ def list_decode_mean(
 ) -> tuple[HypothesisList, list[TraceEvent]]:
     """Estimate candidate means from a sample with a majority of outliers.
 
-    Rescales the input by scale_c * sigma, runs the FIFO worklist to
-    exhaustion starting from all-ones weights, and returns every certified
-    weighted mean scaled back to the input coordinates. The output list has
-    at most 4/alpha^2 entries. Deterministic for a fixed (points, cfg).
+    Centers the input on its column mean and rescales it by scale_c *
+    sigma, runs the FIFO worklist to exhaustion starting from all-ones
+    weights, and returns every certified weighted mean mapped back to the
+    input coordinates. The output list has at most 4/alpha^2 entries.
+    Deterministic for a fixed (points, cfg).
 
     Args:
         points: (n, d) array of samples.
@@ -302,7 +311,7 @@ def list_decode_mean(
         raw = HypothesisList(np.vstack(hypotheses))
     else:
         raw = HypothesisList(np.zeros((0, ps.d)))
-    out = postprocess_unscale(raw, cfg)
+    out = postprocess_unscale(raw, cfg, ps.center)
 
     if mask is not None and _alpha_good(ps, mask, cfg.alpha) and len(out) == 0:
         raise RuntimeError("no hypothesis produced on a verified good input")

@@ -122,10 +122,11 @@ def quantile_interval(
 
 
 def _doubled(interval: tuple[float, float]) -> tuple[float, float]:
-    """The window with the center of (a, b) and twice its half-width."""
+    """The window with the center of (a, b) and twice its half-width,
+    widened to contain (a, b) where halving rounds (subnormal widths)."""
     a, b = interval
     t, r = 0.5 * (a + b), 0.5 * (b - a)
-    return t - 2.0 * r, t + 2.0 * r
+    return min(t - 2.0 * r, a), max(t + 2.0 * r, b)
 
 
 def truncated_variance(

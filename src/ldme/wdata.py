@@ -3,8 +3,9 @@
 A PointSet is an immutable n x d sample matrix; every soft-filtering state
 lives in a WeightFn attached to it. Means, variances and projections cost
 O(n*d). The top eigenpair is exact: the d x d weighted covariance is
-formed block by block in O(n d^2) and handed to a dense symmetric
-eigensolver, O(d^3); in 1-D it is the weighted variance.
+formed in O(n d^2), as one product on the driver's centered set under
+all-ones weights and block by block otherwise, and handed to a dense
+symmetric eigensolver, O(d^3); in 1-D it is the weighted variance.
 """
 
 from __future__ import annotations
@@ -18,47 +19,81 @@ UNIT_TOL = 1e-9
 BLOCK_ELEMENTS = 1 << 16
 
 
+def _rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 array as n x d rows, with its column mean.
+
+    A NaN or +-inf entry makes its column's mean NaN or +-inf, so the mean
+    doubles as the finite-value check. Each row is weighted by 1/n before
+    the sum, so the mean of finite rows does not overflow.
+    """
+    if pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    if pts.ndim != 2:
+        raise ValueError(f"points must form a 2-D array, got shape {pts.shape}")
+    n, d = pts.shape
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got shape {pts.shape}")
+    with np.errstate(invalid="ignore"):  # inf - inf: refused just below
+        mean = np.full(n, 1.0 / n) @ pts
+    if not np.isfinite(mean).all():
+        raise ValueError("points must have finite coordinates")
+    return pts, mean
+
+
 class PointSet:
     """Immutable set of n points in R^d, stored row-major.
 
     The float64 points, divided by ``scale`` unless it is 1, are written in
     one pass, so building a set holds only the input and one copy.
+
+    ``center`` is None, or the point, in the input's coordinates, that was
+    subtracted from every row before scaling: the driver's set, built by
+    ``_centered``, has its column mean there, so its rows' mean is zero up
+    to rounding. A subset from ``restrict`` is not centered and has None.
     """
 
-    __slots__ = ("points", "n", "d")
+    __slots__ = ("points", "n", "d", "center")
 
     def __init__(self, points, scale: float = 1.0) -> None:
         if scale != 1.0:
             pts = np.divide(points, scale, dtype=np.float64)
         else:
             pts = np.array(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        if pts.ndim != 2:
-            raise ValueError(f"points must form a 2-D array, got shape {pts.shape}")
-        n, d = pts.shape
-        if n < 1 or d < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got shape {pts.shape}")
-        # max and min propagate NaN and +-inf, so they double as the check.
-        if not (np.isfinite(pts.max()) and np.isfinite(pts.min())):
-            raise ValueError("points must have finite coordinates")
+        self._adopt(_rows(pts)[0], None)
+
+    @classmethod
+    def _centered(cls, points, scale: float) -> "PointSet":
+        """The points minus their column mean, divided by scale, as a set
+        whose center is that mean.
+
+        Both steps run in place on the one fresh float64 copy, so building
+        the set holds only the input and that copy. The division is a
+        multiply by 1/scale, which is exact when scale is a power of two.
+        """
+        pts, mean = _rows(np.array(points, dtype=np.float64))
+        pts -= mean
+        pts *= 1.0 / scale
+        ps = cls.__new__(cls)
+        ps._adopt(pts, mean)
+        return ps
+
+    def _adopt(self, pts: np.ndarray, center: np.ndarray | None) -> None:
         pts.flags.writeable = False
         self.points = pts
-        self.n = n
-        self.d = d
+        self.n, self.d = pts.shape
+        self.center = center
 
     def restrict(self, rows: np.ndarray) -> "PointSet":
         """The rows at the given integer indices, in that order, as a PointSet.
 
         A boolean mask is refused: ``np.take`` would read it as indices 0 and 1.
+        The subset is not centered: its center is None.
         """
         rows = np.asarray(rows)
         if rows.dtype == bool:
             raise TypeError("restrict takes row indices, not a boolean mask")
         sub = PointSet.__new__(PointSet)
-        sub.points = np.take(self.points, rows, axis=0)
-        sub.points.flags.writeable = False
-        sub.n, sub.d = sub.points.shape
+        sub._adopt(np.take(self.points, rows, axis=0), None)
         return sub
 
     def __repr__(self) -> str:
@@ -68,11 +103,12 @@ class PointSet:
 class WeightFn:
     """Per-point weights in [0, 1] for a PointSet of matching length.
 
-    The total mass is computed once at construction and cached. The public
-    constructor copies its input; ``_own`` adopts a fresh array instead.
+    The total mass is computed once at construction and cached, and so is
+    ``unit``: whether every weight is 1. The public constructor copies its
+    input; ``_own`` adopts a fresh array instead.
     """
 
-    __slots__ = ("weights", "total")
+    __slots__ = ("weights", "total", "unit")
 
     def __init__(self, weights) -> None:
         self._adopt(np.array(weights, dtype=np.float64))
@@ -93,6 +129,7 @@ class WeightFn:
     def _adopt(self, w: np.ndarray) -> None:
         if w.ndim != 1:
             raise ValueError(f"weights must be 1-D, got shape {w.shape}")
+        lo = 1.0
         if w.size:
             # min and max propagate NaN, so two reductions check every entry
             # without a length-n temporary.
@@ -102,6 +139,7 @@ class WeightFn:
             if lo < 0.0 or hi > 1.0:
                 raise ValueError("weights must lie in [0, 1]")
         w.flags.writeable = False
+        self.unit = lo == 1.0
         self.weights = w
         self.total = float(w.sum())
 
@@ -175,16 +213,26 @@ def _variance(vals: np.ndarray, wts: np.ndarray, total: float) -> float:
 def _weighted_cov(ps: PointSet, w: WeightFn) -> np.ndarray:
     """The d x d weighted covariance, (1/w(T)) * sum_x w(x) (x - mu)(x - mu)'.
 
-    The rows are centered and scaled by sqrt(w) a block of about
+    On a centered set (ps.center is set) under all-ones weights, the
+    driver's root, the mean mu is zero up to rounding, so the covariance
+    is one product, X'X/n - mu mu', with no cancellation to fear. Any other
+    set is centered on mu and scaled by sqrt(w) a block of about
     BLOCK_ELEMENTS entries at a time, so no n x d temporary is ever made;
-    a zero-weight row adds exact zeros. O(n d^2).
+    a zero-weight row adds exact zeros, and all-ones weights skip the
+    scaling, which would multiply by 1. O(n d^2).
     """
     mu = weighted_mean(ps, w)
+    if ps.center is not None and w.unit:
+        cov = ps.points.T @ ps.points
+        cov /= w.total
+        cov -= np.outer(mu, mu)
+        return cov
     cov = np.zeros((ps.d, ps.d))
     step = max(1, BLOCK_ELEMENTS // ps.d)
     for start in range(0, ps.n, step):
         y = ps.points[start : start + step] - mu
-        y *= np.sqrt(w.weights[start : start + step])[:, None]
+        if not w.unit:
+            y *= np.sqrt(w.weights[start : start + step])[:, None]
         cov += y.T @ y
     return cov / w.total
 

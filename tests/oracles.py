@@ -65,6 +65,19 @@ def dense_weighted_cov(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return cov / sum(float(w) for w in weights)
 
 
+def blocked_centered_cov(points: np.ndarray, weights: np.ndarray, block_rows: int) -> np.ndarray:
+    """The weighted covariance as a blocked kernel forms it: each block of
+    block_rows rows is centered on the weighted mean, scaled by sqrt(w) and
+    its Gram matrix summed, then the sum divided by the total weight."""
+    mu = (weights @ points) / weights.sum()
+    cov = np.zeros((points.shape[1], points.shape[1]))
+    for start in range(0, points.shape[0], block_rows):
+        y = points[start : start + block_rows] - mu
+        y *= np.sqrt(weights[start : start + block_rows])[:, None]
+        cov += y.T @ y
+    return cov / weights.sum()
+
+
 def quantile_interval_naive(projections, weights, alpha) -> tuple[float, float]:
     """Linear scan straight off the definition: a is the largest sample
     value whose strictly-below weight is within the trim budget, b the

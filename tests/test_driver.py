@@ -42,23 +42,42 @@ class TestRunConfig:
 
 class TestRescale:
     def test_divides_by_scale(self):
+        # Centered on the column mean (6, 12), then divided by 2 * 2.
         cfg = RunConfig(alpha=0.2, sigma=2.0, scale_c=2.0)
-        ps = preprocess_rescale(np.array([[4.0, 8.0]]), cfg)
-        np.testing.assert_allclose(ps.points, [[1.0, 2.0]])
+        ps = preprocess_rescale(np.array([[4.0, 8.0], [8.0, 16.0]]), cfg)
+        np.testing.assert_array_equal(ps.center, [6.0, 12.0])
+        np.testing.assert_array_equal(ps.points, [[-0.5, -1.0], [0.5, 1.0]])
 
     def test_unit_factor_is_identity(self):
+        # With a unit factor the stored rows are the input minus its
+        # center, bit for bit, and the center is the column mean.
         cfg = RunConfig(alpha=0.2, sigma=1.0, scale_c=1.0)
-        pts = np.array([[1.5, -2.5], [0.0, 3.0]])
-        np.testing.assert_array_equal(preprocess_rescale(pts, cfg).points, pts)
+        pts = np.array([[1.5, -2.5], [0.0, 3.0], [7.25, 1.0]])
+        ps = preprocess_rescale(pts, cfg)
+        np.testing.assert_allclose(ps.center, pts.mean(axis=0), rtol=1e-15)
+        np.testing.assert_array_equal(ps.points, pts - ps.center)
+
+    def test_center_is_the_column_mean(self):
+        rng = np.random.default_rng(39)
+        pts = rng.normal(size=(500, 6)) + 1e6
+        ps = preprocess_rescale(pts, RunConfig(alpha=0.2))
+        np.testing.assert_allclose(ps.center, pts.mean(axis=0), rtol=1e-14)
+        assert np.abs(ps.points.mean(axis=0)).max() < 1e-9
+
+    def test_restricted_subset_is_not_centered(self):
+        ps = preprocess_rescale(np.arange(12.0).reshape(4, 3), RunConfig(alpha=0.2))
+        assert ps.center is not None
+        assert ps.restrict(np.array([0, 2])).center is None
+        assert PointSet(np.ones((2, 2))).center is None
 
     def test_unscale_inverts_example(self):
         cfg = RunConfig(alpha=0.2, sigma=2.0, scale_c=2.0)
-        out = postprocess_unscale(HypothesisList([[1.0, 2.0]]), cfg)
-        np.testing.assert_allclose(out.vectors, [[4.0, 8.0]])
+        out = postprocess_unscale(HypothesisList([[1.0, 2.0]]), cfg, np.array([10.0, -10.0]))
+        np.testing.assert_allclose(out.vectors, [[14.0, -2.0]])
 
     def test_empty_list_stays_empty(self):
         cfg = RunConfig(alpha=0.2)
-        out = postprocess_unscale(HypothesisList(np.zeros((0, 3))), cfg)
+        out = postprocess_unscale(HypothesisList(np.zeros((0, 3))), cfg, np.ones(3))
         assert len(out) == 0
 
     def test_round_trip(self):
@@ -66,7 +85,7 @@ class TestRescale:
         cfg = RunConfig(alpha=0.1, sigma=3.7, scale_c=2.0)
         pts = rng.normal(size=(20, 4)) * 10
         ps = preprocess_rescale(pts, cfg)
-        back = postprocess_unscale(HypothesisList(ps.points), cfg)
+        back = postprocess_unscale(HypothesisList(ps.points), cfg, ps.center)
         np.testing.assert_allclose(back.vectors, pts, rtol=1e-12)
 
 
@@ -241,6 +260,37 @@ class TestListDecodeMean:
         want = certified_lambdas(0.0)
         assert len(want) >= 2 and (want > 0.1).all()
         np.testing.assert_allclose(certified_lambdas(1e9), want, rtol=1e-6)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
+    def test_common_offset_moves_answers_by_the_inputs_rounding(self, offset):
+        # The driver works relative to the column mean, so shifting the
+        # input moves each hypothesis by no more than twice the rounding
+        # the shift itself makes, max|(x + off) - off - x|.
+        pts, _, _ = gen_instance(
+            InstanceSpec(n=4000, d=10, alpha=0.1, adversary="line_clusters", seed=3)
+        )
+        cfg = RunConfig(alpha=0.1, trace=False)
+        want, _ = list_decode_mean(pts, cfg)
+        shifted = pts + offset
+        own = float(np.abs(shifted - offset - pts).max())
+        got, _ = list_decode_mean(shifted, cfg)
+        assert got.vectors.shape == want.vectors.shape and len(want) >= 1
+        assert float(np.abs(got.vectors - offset - want.vectors).max()) <= 2.0 * own
+
+    def test_preprocess_holds_one_copy(self):
+        import tracemalloc
+
+        pts = np.random.default_rng(45).normal(size=(20_000, 40)) + 1e3
+        cfg = RunConfig(alpha=0.2)
+        preprocess_rescale(pts[:10], cfg)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            ps = preprocess_rescale(pts, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps.points.shape == pts.shape
+        assert peak <= 1.1 * pts.nbytes, peak / pts.nbytes
 
     def test_mask_shape_validated(self):
         cfg = RunConfig(alpha=0.3)

@@ -10,6 +10,7 @@ import ldme.instances
 from ldme import (
     InfeasibleSplit,
     InstanceSpec,
+    RunConfig,
     gen_instance,
     load_points,
     run_experiment,
@@ -317,6 +318,23 @@ class TestCli:
         bad.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(bad)]) == 2
         assert f"ldme: config error: {section}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", "seven"), ("seed", True), ("seed", 7.0), ("trace", "false"), ("trace", 1)],
+    )
+    def test_wrongly_typed_seed_or_trace_exits_2(self, tmp_path, capsys, field, value):
+        cfg = smoke_config(tmp_path, trace="trace.csv", report="report.json")
+        cfg.setdefault("run", {})[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(bad)]) == 2
+        assert f"ldme: config error: run: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
+    def test_numpy_integer_seed_is_an_integer(self):
+        assert RunConfig(alpha=0.2, seed=np.int64(7)).seed == 7
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

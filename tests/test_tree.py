@@ -27,20 +27,20 @@ from ldme import (
 
 # Three instances whose trees certify, reweight, split and prune, none with
 # a zero lambda_star: each is generated, then ``junk`` of its outlier rows
-# are moved far out. The digests were taken once branches carried only
-# their support, in sorted order; the trace before that agreed with them on
-# every id, depth and tag and within 4e-15 relative on every float. They
-# hold for numpy 2.4 on x86-64, and another BLAS may round the eigensolve
-# differently.
+# are moved far out. The digests were taken once the driver centered the
+# sample on its column mean; the trace before that agreed with them on
+# every id, parent, depth, tag, support size and mass, and within 4e-15
+# relative on every lambda_star. They hold for numpy 2.4 on x86-64, and
+# another BLAS may round the eigensolve differently.
 PINNED = {
     "line_clusters": (
         dict(n=1200, d=6, alpha=0.15, adversary="line_clusters", decoys=4,
              separation=300.0, mean_radius=5.0, seed=21),
         12,
         (
-            "b9041a4c098a36eae2cdf8657168e5af009b94fc8e77607c95be0b42ab64b286",
-            "264a24863b82c2d534e4689cde501994cb7c272c705347dc78762f636f71b349",
-            "4eacc19df86a1cd5ed72f80bc69413b0acbb8f7e637187704bafb2a21d1a6c14",
+            "f6132b614ed952f618dbef229cba73f55c24d02e6646d5a57a1b228df968633b",
+            "b9005e611b28dc51a53f3ebd732bcc4eb1ad5597bf56340ca3a71b5fb66524ee",
+            "b287c7fd2e577d823069950550055af5db4817480d9e2cafe61139a2b5ef7e26",
         ),
     ),
     "decoy_clusters": (
@@ -48,9 +48,9 @@ PINNED = {
              separation=400.0, mean_radius=5.0, seed=22),
         9,
         (
-            "e37dbfb3cbcbad5e87ba2e3f29d9cd62965ae6a983ff1cfa0d18b82ee9df1881",
-            "d139f1ada6aa8f98eb8949b3a7e4080aaa6980495c6bf6751296fb4ceaaad43d",
-            "c1df8ec66070d3f2700d0653b7a6be1725cc31380936f64487938351f5897e46",
+            "d2fafc0ab90708b29b2b5578fd959cce173604a298222463523db5dfa3bf874b",
+            "ea8a0981feb37dff8a7a5b2517c70df9ad70719d823caafd05d26507c79d658a",
+            "d185fd82ad7a1a3f45856a8bc2cd30cb84929aa51df95f4e5f41d72144dcdbc1",
         ),
     ),
     "uniform_noise": (
@@ -58,9 +58,9 @@ PINNED = {
              noise_radius=3000.0, seed=23),
         0,
         (
-            "a77c9768983cfe3bbb48b8ac81fac8c6630d6008cc7e49536d64ed014ad99e54",
-            "e91873aed9172e5d2c71632df1a9488800de57d12cd3282f0814bc51f4f84956",
-            "fa41a705111e898ff09af4de43e78fa5b0230b42e83531b5239809fa06204886",
+            "dd23d895e93bd2a72d494397fa706f0d934d9dfa62c9f1af7eb21952fda74a49",
+            "d531456a49ba4e0046ee641996221aa3f6f34350d8b3f9f7f4ccb84a34757cba",
+            "dab9be3c8aaa3dca259568a190e24b770da61223425f072770e809e6f8d65679",
         ),
     ),
 }

@@ -1,15 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ldme import (
     PointSet,
+    RunConfig,
     WeightFn,
     approx_top_eigenpair,
+    preprocess_rescale,
     project,
     weighted_mean,
     weighted_variance,
 )
+from ldme.wdata import BLOCK_ELEMENTS, _weighted_cov
 from oracles import (
+    blocked_centered_cov,
     cov_matvec,
     dense_weighted_cov,
     dot_naive,
@@ -72,6 +78,33 @@ class TestPointSet:
             PointSet(pts, scale)
         with pytest.raises(ValueError, match="finite"):
             PointSet(pts[4], scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_nonfinite_cell_is_refused(self, bad):
+        # The check reads the column means: a NaN or +-inf anywhere makes
+        # its column's mean non-finite, whichever builder makes the set.
+        cfg = RunConfig(alpha=0.2)
+        for i in range(4):
+            for j in range(3):
+                pts = np.arange(12.0).reshape(4, 3)
+                pts[i, j] = bad
+                for build in (PointSet, lambda p: preprocess_rescale(p, cfg)):
+                    with pytest.raises(ValueError, match="^points must have finite coordinates$"):
+                        build(pts)
+
+    def test_opposite_infinities_in_one_column_are_refused(self):
+        pts = np.zeros((3, 2))
+        pts[0, 1], pts[2, 1] = np.inf, -np.inf
+        with pytest.raises(ValueError, match="finite"):
+            preprocess_rescale(pts, RunConfig(alpha=0.2))
+
+    def test_huge_finite_coordinates_are_accepted(self):
+        # The mean weights each row by 1/n before summing, so it does not
+        # overflow where the plain column sum would.
+        pts = np.full((4, 2), 1.5e308)
+        ps = preprocess_rescale(pts, RunConfig(alpha=0.2, scale_c=1.0))
+        np.testing.assert_array_equal(ps.center, [1.5e308, 1.5e308])
+        assert PointSet(pts).n == 4
 
 
 class TestWeightFn:
@@ -265,6 +298,61 @@ class TestCovMatvec:
             np.testing.assert_allclose(
                 cov_matvec(ps, w, u), cov @ u, rtol=1e-9, atol=1e-12
             )
+
+
+def root_set(name: str) -> np.ndarray:
+    """Inputs for the driver's root: random, d > n, repeated rows, n = 1."""
+    rng = np.random.default_rng(17)
+    base = rng.normal(size=(300, 12)) * rng.uniform(0.5, 4.0, 12) + 50.0
+    return {
+        "random": base,
+        "wide": rng.normal(size=(6, 40)) - 3.0,
+        "repeats": base[rng.integers(0, 20, 300)],
+        "one_row": rng.normal(size=(1, 5)),
+    }[name]
+
+
+class TestWeightedCov:
+    @pytest.mark.parametrize("name", ["random", "wide", "repeats", "one_row"])
+    def test_root_product_matches_the_blocked_kernel(self, name):
+        ps = preprocess_rescale(root_set(name), RunConfig(alpha=0.2))
+        assert ps.center is not None
+        ones = np.ones(ps.n)
+        got = _weighted_cov(ps, WeightFn(ones))
+        want = blocked_centered_cov(ps.points, ones, BLOCK_ELEMENTS // ps.d)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(got, dense_weighted_cov(ps.points, ones), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_other_branches_keep_the_blocked_bits(self, unit):
+        # Uncentered sets, subsets and non-unit weights take the blocked
+        # kernel; skipping the multiply by sqrt(1) moves no bit.
+        rng = np.random.default_rng(18)
+        pts = rng.normal(size=(5000, 30)) * 3.0 + 7.0
+        wts = np.ones(5000) if unit else rng.uniform(0.1, 1.0, 5000)
+        centered = preprocess_rescale(pts, RunConfig(alpha=0.2))
+        cases = [(PointSet(pts), wts), (centered.restrict(np.arange(5000)), wts)]
+        if not unit:
+            cases.append((centered, wts))
+        for ps, w in cases:
+            got = _weighted_cov(ps, WeightFn(w))
+            want = blocked_centered_cov(ps.points, w, BLOCK_ELEMENTS // ps.d)
+            assert got.tobytes() == want.tobytes()
+
+    def test_root_eigenpair_allocates_no_block(self):
+        # The root's covariance is one product: nothing n x d-sized, not
+        # even one block of the blocked kernel, is allocated.
+        rng = np.random.default_rng(19)
+        ps = preprocess_rescale(rng.normal(size=(20_000, 40)) + 5.0, RunConfig(alpha=0.2))
+        w = WeightFn(np.ones(ps.n))
+        approx_top_eigenpair(ps, w)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            approx_top_eigenpair(ps, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * BLOCK_ELEMENTS / 2, peak
 
 
 class TestApproxTopEigenpair:
