@@ -34,7 +34,6 @@ from .experiment import load_config, parse_config, run_experiment, run_sweep
 from .instances import InstanceSpec, gen_instance
 from .listreduce import ReduceConfig, reduce_list
 from .multifilter import (
-    DegenerateDownweight,
     InfeasibleSplit,
     MultifilterOutcome,
     SplitParams,

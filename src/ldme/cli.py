@@ -9,7 +9,6 @@ reduction). Exit codes: 0 ok, 2 config error, 3 algorithmic infeasibility,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .config import ConfigError, RunConfig
@@ -114,12 +113,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    raw: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        if "instance" in raw:
-            raw = raw["instance"]
+    raw = load_config(args.config) if args.config else {}
+    raw = raw.get("instance", raw)
     spec = InstanceSpec.from_dict({**raw, **_given(args, SYNTH_FLAGS)})
     points, mask, mean = gen_instance(spec)
     if args.format == "bin":
@@ -177,9 +172,6 @@ def main(argv=None) -> int:
     except DataFormatError as err:
         print(f"ldme: data error: {err}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as err:
-        print(f"ldme: config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ConfigError, ValueError) as err:
         print(f"ldme: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

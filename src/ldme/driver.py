@@ -28,16 +28,15 @@ class BranchState:
 
     rows holds the row indices of the support into the centered, rescaled
     PointSet and weights one positive weight per row; rows=None stands for
-    every row in input order, as at the root. sorted_along is the direction along
-    which the rows' projections ascend, or None. A pass along that same
-    direction, bit for bit, needs no sort.
+    every row in input order, as at the root. Past the root the rows are in
+    ascending order of their parent's projections, so in 1-D the next pass
+    finds them sorted and sorts nothing.
     """
 
     weights: WeightFn
     depth: int
     lineage: tuple[str, ...]
     rows: np.ndarray | None = None
-    sorted_along: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,10 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     branch.rows (the root, with rows=None, uses ps as it is), so the
     eigensolve and the filtering pass scale with |supp|, not n. A branch
     built by a caller with rows=None and some zero weights first drops those
-    rows. The filter sorts the projections unless the top direction is the
-    one the rows already ascend along (always so in 1-D after the root), and
-    the children keep that ascending order: each carries the rows and
-    weights of its own support, as the filter found them, and the direction.
+    rows. The filter sorts the projections unless they already ascend
+    (always so in 1-D after the root), and the children keep that ascending
+    order: each carries the rows and weights of its own support, as the
+    filter found them.
 
     On a certified pass the weighted mean of the branch's support (in the
     rescaled coordinates of ps) is returned as the hypothesis. Otherwise the
@@ -158,9 +157,7 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     sub_ps = ps if rows is None else ps.restrict(rows)
     eig = approx_top_eigenpair(sub_ps, w)
     try:
-        outcome = basic_multifilter(
-            sub_ps, w, eig.direction, cfg.alpha, cfg, branch.sorted_along
-        )
+        outcome = basic_multifilter(sub_ps, w, eig.direction, cfg.alpha, cfg)
     except InfeasibleSplit as err:
         err.details["lineage"] = branch.lineage
         err.details["depth"] = branch.depth
@@ -170,8 +167,7 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     floor = cfg.alpha * ps.n / 2.0
     lineage = branch.lineage + (outcome.tag,)
     children = [
-        BranchState(wf, branch.depth + 1, lineage,
-                    rows=_child_rows(rows, at, sub_ps.n), sorted_along=eig.direction)
+        BranchState(wf, branch.depth + 1, lineage, _child_rows(rows, at, sub_ps.n))
         for wf, at in zip(outcome.children, outcome.rows)
     ]
     kept = tuple(child for child in children if child.weights.total >= floor)

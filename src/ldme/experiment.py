@@ -26,30 +26,39 @@ from .listreduce import ReduceConfig, reduce_list
 from .report import Report, TreeCounts, evaluate, write_trace_csv
 
 
-def load_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+_SECTIONS = {"instance": dict, "run": dict, "reduce": dict, "output": dict, "seeds": list}
+
+
+def check_sections(cfg) -> dict:
+    """cfg, refused with a ConfigError unless it is a JSON object whose
+    sections are objects and whose seeds, if any, are a list."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
+    for key, kind in _SECTIONS.items():
+        if not isinstance(cfg.get(key, kind()), kind):
+            shape = "an object" if kind is dict else "a list"
+            raise ConfigError(f"{key}: must be {shape}, got {cfg[key]!r}")
     return cfg
 
 
+def load_config(path) -> dict:
+    with open(path) as fh:
+        return check_sections(json.load(fh))
+
+
 def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict]:
+    check_sections(cfg)
     if "instance" not in cfg:
         raise ConfigError("instance: section is required")
     spec = InstanceSpec.from_dict(cfg["instance"])
-
-    run_raw = dict(cfg.get("run", {}))
-    run_raw.setdefault("alpha", spec.alpha)
-    run_raw.setdefault("sigma", spec.sigma)
-    run_raw.setdefault("seed", spec.seed)
-    run_cfg = from_section(RunConfig, run_raw, "run")
-
-    red_raw = dict(cfg.get("reduce", {}))
-    red_raw.setdefault("alpha", run_cfg.alpha)
-    red_raw.setdefault("sigma_scale", run_cfg.rescale_factor)
-    red_cfg = from_section(ReduceConfig, red_raw, "reduce")
-
+    run_cfg = from_section(
+        RunConfig, cfg.get("run", {}), "run",
+        alpha=spec.alpha, sigma=spec.sigma, seed=spec.seed,
+    )
+    red_cfg = from_section(
+        ReduceConfig, cfg.get("reduce", {}), "reduce",
+        alpha=run_cfg.alpha, sigma_scale=run_cfg.rescale_factor,
+    )
     output = dict(cfg.get("output", {}))
     return spec, run_cfg, red_cfg, output
 
@@ -129,7 +138,10 @@ def run_sweep(config: dict | str | Path, seeds=None) -> list[Report]:
     The file adversary's outlier file is read once, before the fan-out, and
     every seed gets the same read-only rows.
     """
-    cfg = load_config(config) if isinstance(config, (str, Path)) else dict(config)
+    if isinstance(config, (str, Path)):
+        cfg = load_config(config)
+    else:
+        cfg = check_sections(dict(config))
     seeds = list(seeds if seeds is not None else cfg.get("seeds", []))
     if not seeds:
         return [run_experiment(cfg)]

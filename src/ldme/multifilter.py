@@ -22,10 +22,6 @@ from .wdata import PointSet, WeightFn, _variance, project, weighted_variance
 SPLIT_BLOCK = 1 << 12
 
 
-class DegenerateDownweight(RuntimeError):
-    """Raised when every supported point already sits inside the interval."""
-
-
 class InfeasibleSplit(RuntimeError):
     """Raised when no feasible split exists where one is required.
 
@@ -178,8 +174,8 @@ def soft_downweight(
         lies in a dropped end.
 
     Raises:
-        ValueError: a > b.
-        DegenerateDownweight: every supported point lies inside [a, b].
+        ValueError: a > b, or every supported point lies inside [a, b],
+            where 1 - f/f_max would be 0/0.
     """
     p = _check_inputs(projections, w)
     a, b = interval
@@ -199,9 +195,7 @@ def soft_downweight(
         float(np.max(above, where=wts[ib:] > 0.0, initial=0.0)),
     )
     if fmax <= 0.0:
-        raise DegenerateDownweight(
-            "all supported projections lie inside the interval"
-        )
+        raise ValueError("all supported projections lie inside the interval")
     for f in (below, above):
         f /= fmax
         np.subtract(1.0, f, out=f)
@@ -413,7 +407,6 @@ def basic_multifilter(
     v: np.ndarray,
     alpha: float,
     cfg: RunConfig,
-    sorted_along: np.ndarray | None = None,
 ) -> MultifilterOutcome:
     """Run one filtering pass along the unit direction v.
 
@@ -422,16 +415,15 @@ def basic_multifilter(
     (full weighted variance at most twice that) or softly downweights by
     distance from I. Otherwise splits the weights via find_split.
 
-    The pass works in ascending order of the projections. ``sorted_along``
-    is the direction the rows of ps already ascend along, if the caller
-    knows one. When v equals it bit for bit, the projections ascend as
-    given, since each row is projected on its own, and the pass neither
-    sorts nor builds an order; otherwise it sorts them once. Every set the
-    pass reads is then a run of that order: the doubled window, the tails
-    outside I, the halves of a split. The children keep the order (see
-    MultifilterOutcome): a split child is the prefix {x < t + R} or the
-    suffix {x >= t - R}, and the reweighted child drops the prefix and
-    suffix that soft_downweight zeroes.
+    The pass works in ascending order of the projections. When they
+    already ascend as given (in 1-D past the root, where each branch keeps
+    its parent's order), the pass neither sorts nor builds an order;
+    otherwise it sorts them once. Every set the pass reads is then a run of
+    that order: the doubled window, the tails outside I, the halves of a
+    split. The children keep the order (see MultifilterOutcome): a split
+    child is the prefix {x < t + R} or the suffix {x >= t - R}, and the
+    reweighted child drops the prefix and suffix that soft_downweight
+    zeroes.
 
     Raises:
         InfeasibleSplit: the variance gate tripped but no feasible split
@@ -442,7 +434,7 @@ def basic_multifilter(
     """
     proj = project(ps, v)
     ascending = slice(None)  # handed to every step below
-    if sorted_along is not None and np.array_equal(v, sorted_along):
+    if (proj[1:] >= proj[:-1]).all():
         order = ascending
     else:
         order = np.argsort(proj)

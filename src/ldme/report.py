@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
@@ -101,11 +100,5 @@ class Report:
     wall_time_s: float = 0.0
     trace_summary: dict = field(default_factory=dict)
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        out = asdict(self)
-        if not include_wall_time:
-            del out["wall_time_s"]
-        return out
-
-    def to_json(self, include_wall_time: bool = True) -> str:
-        return json.dumps(self.to_dict(include_wall_time), indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return asdict(self)

@@ -43,8 +43,8 @@ def _rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class PointSet:
     """Immutable set of n points in R^d, stored row-major.
 
-    The float64 points, divided by ``scale`` unless it is 1, are written in
-    one pass, so building a set holds only the input and one copy.
+    Building a set copies the points once to float64, so it holds only the
+    input and that copy.
 
     ``center`` is None, or the point, in the input's coordinates, that was
     subtracted from every row before scaling: the driver's set, built by
@@ -54,12 +54,8 @@ class PointSet:
 
     __slots__ = ("points", "n", "d", "center")
 
-    def __init__(self, points, scale: float = 1.0) -> None:
-        if scale != 1.0:
-            pts = np.divide(points, scale, dtype=np.float64)
-        else:
-            pts = np.array(points, dtype=np.float64)
-        self._adopt(_rows(pts)[0], None)
+    def __init__(self, points) -> None:
+        self._adopt(_rows(np.array(points, dtype=np.float64))[0], None)
 
     @classmethod
     def _centered(cls, points, scale: float) -> "PointSet":

@@ -11,6 +11,7 @@ are collected as strings so a test can assert the list is empty.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +37,14 @@ class RunAudit:
     pruned: int = 0
     max_depth: int = 0
     max_potential: float = 0.0
+
+
+def report_bytes(report) -> bytes:
+    """A Report as indented, key-sorted JSON without its wall time: the
+    bytes two runs of one config share."""
+    out = report.to_dict()
+    del out["wall_time_s"]
+    return json.dumps(out, indent=2, sort_keys=True).encode()
 
 
 def scatter(weights, rows, n: int) -> np.ndarray:

@@ -278,19 +278,23 @@ class TestListDecodeMean:
         assert float(np.abs(got.vectors - offset - want.vectors).max()) <= 2.0 * own
 
     def test_preprocess_holds_one_copy(self):
+        # A float64 input is copied by the subtraction, a float32 one by
+        # its conversion; either way one n x d float64 array is made.
         import tracemalloc
 
-        pts = np.random.default_rng(45).normal(size=(20_000, 40)) + 1e3
         cfg = RunConfig(alpha=0.2)
-        preprocess_rescale(pts[:10], cfg)  # warm imports and caches
-        tracemalloc.start()
-        try:
-            ps = preprocess_rescale(pts, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ps.points.shape == pts.shape
-        assert peak <= 1.1 * pts.nbytes, peak / pts.nbytes
+        for dtype in (np.float64, np.float32):
+            pts = (np.random.default_rng(45).normal(size=(20_000, 40)) + 1e3).astype(dtype)
+            preprocess_rescale(pts[:10], cfg)  # warm imports and caches
+            tracemalloc.start()
+            try:
+                ps = preprocess_rescale(pts, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            copy = pts.size * 8
+            assert ps.points.shape == pts.shape
+            assert peak <= 1.1 * copy, (dtype, peak / copy)
 
     def test_mask_shape_validated(self):
         cfg = RunConfig(alpha=0.3)
@@ -449,7 +453,8 @@ def junk_instance(n, d, seed):
 
 class TestSortedBranches:
     """Branches past the root carry their support in ascending order of
-    their parent's direction, so a pass along that direction sorts nothing."""
+    their parent's direction, so a pass whose projections already ascend
+    (every pass past the root in 1-D) sorts nothing."""
 
     @pytest.mark.parametrize("d", [1, 6])
     def test_one_sort_per_run_in_1d_and_per_pass_otherwise(self, monkeypatch, d):
@@ -468,6 +473,30 @@ class TestSortedBranches:
         tags = {step.result.outcome.tag for step in steps}
         assert {"reweighted", "split"} <= tags and len(steps) >= 10
         assert sorts == (1 if d == 1 else len(steps))
+
+    def test_1d_rows_in_ascending_order_are_never_sorted(self, monkeypatch):
+        # The root's projections already ascend, so even its pass sorts
+        # nothing. Rounding makes ties, which count as ascending.
+        pts = np.round(junk_instance(4000, 1, seed=51), 1)
+        assert len(np.unique(pts)) < 0.8 * len(pts)
+        cfg = RunConfig(alpha=0.2, trace=False)
+        want = sorted_rows(list_decode_mean(pts, cfg)[0].vectors)
+        ascending = pts[np.argsort(pts[:, 0])]
+        sorts = 0
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            nonlocal sorts
+            sorts += 1
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        steps = []
+        got = list_decode_mean(ascending, cfg, observer=steps.append)[0]
+        assert sorts == 0 and len(steps) >= 10
+        got = sorted_rows(got.vectors)
+        assert got.shape == want.shape and len(want) >= 1
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
 
     @pytest.mark.parametrize("d", [1, 6])
     def test_branches_past_the_root_hold_only_their_support(self, d):

@@ -18,6 +18,7 @@ from ldme import (
     save_points_csv,
 )
 from ldme.cli import main
+from auditing import report_bytes
 
 REPO = Path(__file__).resolve().parent.parent
 SMOKE = REPO / "configs" / "smoke.json"
@@ -74,9 +75,7 @@ class TestRunExperiment:
         cfg = smoke_config(tmp_path)
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
-        assert r1.to_json(include_wall_time=False) == r2.to_json(
-            include_wall_time=False
-        )
+        assert report_bytes(r1) == report_bytes(r2)
 
     def test_out_of_range_alpha_rejected(self, tmp_path):
         cfg = smoke_config(tmp_path)
@@ -332,6 +331,41 @@ class TestCli:
         assert f"ldme: config error: run: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, flags",
+        [
+            ("synth", None, [1, 2], []),
+            ("synth", "instance", 5, []),
+            ("experiment", None, [1, 2], []),
+            ("experiment", "instance", 5, []),
+            ("experiment", "run", 7, []),
+            ("experiment", "run", 7, ["--alpha", "0.25"]),
+            ("experiment", "reduce", [8.0], []),
+            ("experiment", "output", 7, []),
+            ("experiment", "output", 7, ["--out", "report.json"]),
+            ("experiment", "seeds", 3, []),
+        ],
+    )
+    def test_config_section_of_the_wrong_shape_exits_2(
+        self, tmp_path, capsys, command, key, value, flags
+    ):
+        cfg = smoke_config(tmp_path, report="report.json", trace="trace.csv",
+                           hypotheses="hyps.json")
+        if key is None:
+            cfg = value
+        else:
+            cfg[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(bad)]
+        if command == "synth":
+            argv += ["--out", str(tmp_path / "points.csv")]
+        argv += [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "ldme: config error: " in captured.err and not captured.out
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_numpy_integer_seed_is_an_integer(self):
         assert RunConfig(alpha=0.2, seed=np.int64(7)).seed == 7

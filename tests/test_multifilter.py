@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ldme import (
-    DegenerateDownweight,
     PointSet,
     RunConfig,
     WeightFn,
@@ -178,7 +177,7 @@ class TestSoftDownweight:
             soft_downweight(np.array([0.0, 5.0]), WeightFn([1.0, 1.0]), (2.0, 1.0))
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateDownweight):
+        with pytest.raises(ValueError, match="inside the interval"):
             soft_downweight(np.array([0.0, 0.5]), WeightFn([1.0, 1.0]), (0.0, 1.0))
 
     def test_monotone_and_zeroes_argmax(self):
@@ -424,9 +423,7 @@ class TestSortedKernel:
                 if presorted:
                     order = np.argsort(vals)
                     vals, wts = vals[order], wts[order]
-                out = basic_multifilter(
-                    embed_1d(vals), WeightFn(wts), E1, 0.2, cfg, E1 if presorted else None
-                )
+                out = basic_multifilter(embed_1d(vals), WeightFn(wts), E1, 0.2, cfg)
                 assert out.tag == "reweighted"
                 (new,), (rows,) = out.children, out.rows
                 assert isinstance(rows, slice) == presorted
@@ -466,8 +463,40 @@ class TestSortedKernel:
         monkeypatch.setattr(WeightFn, "_adopt", counted)
         monkeypatch.setattr(np, "argsort", refused)
         monkeypatch.setattr(np, "arange", refused)
-        out = basic_multifilter(ps, w, E1, 0.2, RunConfig(alpha=0.2), sorted_along=E1)
+        out = basic_multifilter(ps, w, E1, 0.2, RunConfig(alpha=0.2))
         assert out.tag == "reweighted" and checks == 1
+
+    @pytest.mark.parametrize("tag", ["reweighted", "split"])
+    def test_collinear_rows_in_ascending_order_are_not_sorted(self, monkeypatch, tag):
+        # Rows t*u with t ascending project onto u in ascending order, since
+        # each rounded step is monotone in t; the pass then matches the one
+        # on the same rows shuffled, which sorts.
+        rng = np.random.default_rng(54)
+        if tag == "split":
+            t = np.concatenate([rng.normal(size=150), rng.normal(100.0, 1.0, 150)])
+            wts = np.ones(300)
+        else:
+            t, wts = self._reweight_instance(rng)
+        order = np.argsort(t)
+        t, wts = t[order], wts[order]
+        u = np.array([0.6, 0.8])
+        ps = PointSet(np.outer(t, u))
+        perm = rng.permutation(len(t))
+        cfg = RunConfig(alpha=0.2)
+        shuffled = basic_multifilter(PointSet(ps.points[perm]), WeightFn(wts[perm]), u, 0.2, cfg)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("ascending projections need no sort")
+
+        monkeypatch.setattr(np, "argsort", refused)
+        out = basic_multifilter(ps, WeightFn(wts), u, 0.2, cfg)
+        assert out.tag == shuffled.tag == tag
+        assert len(out.children) == len(shuffled.children)
+        for new, rows, new_s, rows_s in zip(
+            out.children, out.rows, shuffled.children, shuffled.rows
+        ):
+            np.testing.assert_array_equal(np.arange(len(t))[rows], perm[rows_s])
+            np.testing.assert_array_equal(new.weights, new_s.weights)
 
     def test_unsorted_input_matches_naive_and_sorted_calls(self):
         rng = np.random.default_rng(53)
@@ -488,7 +517,7 @@ class TestSortedKernel:
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
             outside = (proj < lo) | (proj > hi)
             if not (wts[outside] > 0.0).any():
-                with pytest.raises(DegenerateDownweight):
+                with pytest.raises(ValueError, match="inside the interval"):
                     soft_downweight(proj, w, (lo, hi))
                 continue
             got = downweighted(proj, w, (lo, hi))

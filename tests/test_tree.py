@@ -24,6 +24,7 @@ from ldme import (
     run_experiment,
     write_trace_csv,
 )
+from auditing import report_bytes
 
 # Three instances whose trees certify, reweight, split and prune, none with
 # a zero lambda_star: each is generated, then ``junk`` of its outlier rows
@@ -105,7 +106,7 @@ def test_trace_and_report_bytes_are_pinned(name, tmp_path):
         write_trace_csv(tmp_path / "trace.csv", trace)
         got.append(_sha((tmp_path / "trace.csv").read_bytes()))
     report = pinned_report(instance, junk)
-    got.append(_sha(report.to_json(include_wall_time=False).encode()))
+    got.append(_sha(report_bytes(report)))
     assert tuple(got) == want
 
 

@@ -58,13 +58,17 @@ class TestPointSet:
         ids=["int", "float32", "1-D", "list"],
     )
     def test_same_bits_as_copy_then_divide(self, points, scale):
-        # The one-pass construction stores what copying to float64 and then
-        # dividing in place stored.
+        # PointSet (scale 1) stores what copying to float64 stored; the
+        # driver's centered set what subtracting its center from that copy
+        # and multiplying by 1/scale in place stored.
         want = np.array(points, dtype=np.float64)
-        if scale != 1.0:
-            want /= scale
         want = want.reshape(-1, want.shape[-1])
-        ps = PointSet(points, scale)
+        if scale == 1.0:
+            ps = PointSet(points)
+        else:
+            ps = PointSet._centered(points, scale)
+            want -= ps.center
+            want *= 1.0 / scale
         assert ps.points.dtype == np.float64 and ps.points.shape == want.shape
         assert ps.points.tobytes() == want.tobytes()
         assert not ps.points.flags.writeable
@@ -72,12 +76,14 @@ class TestPointSet:
     @pytest.mark.parametrize("scale", [1.0, 2.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_each_nonfinite_value(self, bad, scale):
+        # Scale 1 builds a PointSet, any other the driver's centered set.
+        build = PointSet if scale == 1.0 else lambda p: PointSet._centered(p, scale)
         pts = np.random.default_rng(9).normal(size=(6, 3))
         pts[4, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            PointSet(pts, scale)
+            build(pts)
         with pytest.raises(ValueError, match="finite"):
-            PointSet(pts[4], scale)
+            build(pts[4])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_every_nonfinite_cell_is_refused(self, bad):
