@@ -93,10 +93,18 @@ def quantile_interval(
     a is the largest sample value whose strictly-smaller weight is at most
     the trim threshold; b symmetrically from above. Both endpoints are
     attained at sample values. Over the sorted values, the weight before a
-    position and the weight after it are monotone, so one binary search of
-    the prefix sums per side finds the endpoint; ties share their value, so
-    any position of a tied value gives the same endpoint, and the sort need
-    not be stable. Sort plus prefix sums, O(n log n).
+    position and the weight after it are monotone, so each endpoint is a
+    count of running sums within the threshold: prefix sums from the lowest
+    value for a, suffix sums from the highest for b. Ties share their value,
+    so any position of a tied value gives the same endpoint, and the sort
+    need not be stable.
+
+    Only the ends are summed (see _within): the trim takes a fraction
+    alpha/8 of the weight, so on a presorted support the function reads
+    about that fraction of each end, not the whole support. cumsum adds left
+    to right, so a's prefix sums are those of the full support bit for bit.
+    b's suffix sums are exact at the last position and do not cancel; they
+    can differ from total - prefix only in the last bits.
 
     ``order`` puts the projections in ascending order: an argsort that the
     caller already holds, or ``slice(None)`` when they already ascend;
@@ -108,13 +116,30 @@ def quantile_interval(
 
     if order is None:
         order = np.argsort(p)
-    vals = p[order]
-    cum = np.cumsum(w.weights[order])
-    ja = int(np.searchsorted(cum[:-1], tau, side="right"))
-    # The weight above position k, total - cum[k], is 0 by definition at the
-    # last position; that shields cumsum round-off.
-    jb = _first(lambda k: w.total - cum[k] <= tau, len(cum) - 1)
+    vals, wts = p[order], w.weights[order]
+    # Twice the rows the trim takes at equal weights, to start.
+    start = 16 + int(len(wts) * alpha / 4.0)
+    ja = _within(wts, tau, start)
+    jb = len(wts) - 1 - _within(wts[::-1], tau, start)
     return float(vals[ja]), float(vals[jb])
+
+
+def _within(wts: np.ndarray, tau: float, k: int) -> int:
+    """How many leading running sums of wts are at most tau: the position
+    of the endpoint, counted from the end that wts starts at.
+
+    Sums a prefix of k entries, doubling k until its last running sum
+    passes tau or it covers wts, so it reads little more than twice the
+    entries it counts. cumsum adds left to right, so every running sum is
+    the full array's, bit for bit; the weights are non-negative, so the sums
+    do not fall and one binary search counts them. The whole sum, w(T),
+    exceeds tau = alpha*w(T)/8, so the count is below len(wts).
+    """
+    while True:
+        cum = np.cumsum(wts[:k])
+        if k >= len(wts) or cum[-1] > tau:
+            return int(np.searchsorted(cum, tau, side="right"))
+        k *= 2
 
 
 def _doubled(interval: tuple[float, float]) -> tuple[float, float]:
@@ -247,8 +272,10 @@ def find_split(
     The candidates are scored SPLIT_BLOCK at a time, g1 and g2 formed per
     block from the prefix sums, so beside the grid of _cut_grid the search
     holds only block-sized temporaries. Blocks go in ascending order of a
-    lower bound on their scores, and the search stops at the first block
-    whose bound exceeds the best score found. The first minimum wins:
+    lower bound on their scores (_score_floor), which also bounds where each
+    candidate's partner cut can fall; a block where no cut has a partner is
+    not scored at all, and the search stops at the first block whose bound
+    exceeds the best score found. The first minimum wins:
     within a family the lowest index, and on equal scores family 1 over
     family 2, as in a scan of family 1 and then family 2.
 
@@ -272,12 +299,15 @@ def find_split(
     j0 = _first(lambda j: (total - prefix[j]) / total <= 0.5, m)  # g2 <= 1/2 on [j0, m)
     blocks = [(1, s, min(s + SPLIT_BLOCK, n1)) for s in range(0, n1, SPLIT_BLOCK)]
     blocks += [(2, s, min(s + SPLIT_BLOCK, m)) for s in range(j0, m, SPLIT_BLOCK)]
+    grid = (prefix, total, lo, hi, l48)
     best = (np.inf, 0, 0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for floor, *block in sorted((_score_floor(prefix, total, *b), *b) for b in blocks):
+        floors = [(_score_floor(*grid, *b), *b) for b in blocks]
+        # An inf floor (no partner) is dropped: it is not > inf + 1e-9.
+        for floor, *block in sorted(f for f in floors if f[0] < np.inf):
             if floor > best[0] + 1e-9:
                 break
-            found = _block_best(prefix, total, lo, hi, l48, *block)
+            found = _block_best(*grid, *block)
             if found is not None and found[:3] < best[:3]:
                 best = found
     sp = best[3]
@@ -286,19 +316,44 @@ def find_split(
     return sp
 
 
-def _score_floor(prefix: np.ndarray, total: float, family: int, start: int, stop: int) -> float:
-    """A lower bound on the score of every candidate of a block.
+def _score_floor(
+    prefix: np.ndarray, total: float, lo: np.ndarray, hi: np.ndarray, l48: float,
+    family: int, start: int, stop: int,
+) -> float:
+    """A lower bound on the score of every feasible candidate of a block,
+    or inf when the block has none.
 
-    The lower cut of a candidate lies below its upper cut, so its lost
-    fractions add up to at most 1. A block whose own lost fractions (g1 for
-    family 1, g2 for family 2) lie in [a, b] therefore scores at least
-    (1 - b)^2 + a^2; the caller allows 1e-9 for rounding.
+    Two bounds, of which the larger is returned. First, the lower cut of a
+    candidate lies below its upper cut, so its lost fractions add up to at
+    most 1: a block whose own lost fractions (g1 for family 1, g2 for family
+    2) lie in [a, b] scores at least (1 - b)^2 + a^2; the caller allows 1e-9
+    for rounding. Second, the partner cut: in family 1 every i of the block
+    has lo[i] >= lo[start] and g1[i] <= b, so its upper cut j lies at or
+    right of j* = searchsorted(hi, lo[start] + 2 sqrt(l48/b), "right"), and
+    g2[j] <= g2[j*]; in family 2 every j has hi[j] <= hi[stop-1] and
+    g2[j] <= b, so its lower cut lies at or left of i* = searchsorted(lo,
+    hi[stop-1] - 2 sqrt(l48/b), "left") - 1, and g1[i] <= g1[i*]. Correctly
+    rounded +, -, / and sqrt are monotone, as is searchsorted, so the
+    partner's (1 - g)^2 at j* or i* bounds the block's scores as _block_best
+    computes them, bit for bit. Past the last cut (j* = m, or i* = -1) no
+    candidate of the block has a partner, and the block is skipped.
     """
     if family == 1:
         a, b = prefix[start] / total, prefix[stop - 1] / total
+        j = int(np.searchsorted(hi, lo[start] + 2.0 * np.sqrt(l48 / b), side="right"))
+        if j >= len(lo):
+            return np.inf
+        partner = (total - prefix[j]) / total
     else:
         a, b = (total - prefix[stop - 1]) / total, (total - prefix[start]) / total
-    return float((1.0 - b) ** 2 + a * a)
+        i = int(np.searchsorted(lo, hi[stop - 1] - 2.0 * np.sqrt(l48 / b), side="left")) - 1
+        if i < 0:
+            return np.inf
+        partner = prefix[i] / total
+    # Products, not **: numpy's scalar power can round a square differently
+    # from the array square that _block_best takes.
+    own, partner = 1.0 - b, 1.0 - partner
+    return float(own * own + max(a * a, partner * partner))
 
 
 def _block_best(

@@ -43,8 +43,8 @@ def _rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class PointSet:
     """Immutable set of n points in R^d, stored row-major.
 
-    Building a set copies the points once to float64, so it holds only the
-    input and that copy.
+    Building a set copies the points once to float64 in row-major order,
+    whatever the input's layout, so it holds only the input and that copy.
 
     ``center`` is None, or the point, in the input's coordinates, that was
     subtracted from every row before scaling: the driver's set, built by
@@ -55,7 +55,7 @@ class PointSet:
     __slots__ = ("points", "n", "d", "center")
 
     def __init__(self, points) -> None:
-        self._adopt(_rows(np.array(points, dtype=np.float64))[0], None)
+        self._adopt(_rows(np.array(points, dtype=np.float64, order="C"))[0], None)
 
     @classmethod
     def _centered(cls, points, scale: float) -> "PointSet":
@@ -66,7 +66,7 @@ class PointSet:
         the set holds only the input and that copy. The division is a
         multiply by 1/scale, which is exact when scale is a power of two.
         """
-        pts, mean = _rows(np.array(points, dtype=np.float64))
+        pts, mean = _rows(np.array(points, dtype=np.float64, order="C"))
         pts -= mean
         pts *= 1.0 / scale
         ps = cls.__new__(cls)
@@ -173,9 +173,13 @@ def project(ps: PointSet, v: np.ndarray) -> np.ndarray:
 
     Each row is reduced on its own, so a point's projection is the same
     bits whichever other rows share its set; BLAS gemv rounds a row
-    differently depending on its position.
+    differently depending on its position. In 1-D the projection is the
+    column times v[0], the same values as the reduction (a zero's sign
+    aside) in one multiply.
     """
     v = _check_unit(v, ps.d)
+    if ps.d == 1:
+        return ps.points[:, 0] * v[0]
     return np.einsum("ij,j->i", ps.points, v)
 
 

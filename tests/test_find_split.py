@@ -239,3 +239,72 @@ class TestBlockedSearch:
             tracemalloc.stop()
         assert sp is not None
         assert peak <= 4 * 8 * n, peak / (8 * n)
+
+
+class TestScoreFloor:
+    """Each block's floor bounds the score of every feasible candidate in
+    it, also through the partner cut, so a block the search skips cannot
+    hold the best split."""
+
+    def test_floor_bounds_every_feasible_candidate(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        floor_of = multifilter._score_floor
+        floors = []
+
+        def recorded(prefix, total, lo, hi, l48, family, start, stop):
+            floor = floor_of(prefix, total, lo, hi, l48, family, start, stop)
+            if family == 1:
+                a, b = prefix[start] / total, prefix[stop - 1] / total
+            else:
+                a, b = (total - prefix[stop - 1]) / total, (total - prefix[start]) / total
+            floors.append((family, start, stop, floor, (1.0 - b) * (1.0 - b) + a * a))
+            return floor
+
+        monkeypatch.setattr(multifilter, "_score_floor", recorded)
+        blocks = candidates = raised = skipped = 0
+        for _ in range(800):
+            vals, wts, alpha = tied_1d_instance(rng, n_max=300)
+            monkeypatch.setattr(multifilter, "SPLIT_BLOCK", int(rng.integers(1, 9)))
+            floors.clear()
+            find_split(vals, WeightFn(wts), alpha)
+            _, _, cands = split_candidates(vals, wts, alpha)
+            for family, start, stop, floor, own in floors:
+                scores = [c[0] for c in cands if c[1] == family and start <= c[2] < stop]
+                blocks += 1
+                candidates += len(scores)
+                skipped += floor == np.inf
+                raised += own < floor < np.inf
+                # The own-fraction bound allows 1e-9 for rounding; the
+                # partner bound holds on the rounded scores as they are.
+                for score in scores:
+                    assert score >= floor or (floor == own and score + 1e-9 >= floor), (
+                        vals, wts, alpha, family, start, stop)
+        assert candidates >= 1_000 and skipped >= 500 and raised >= 500, (
+            blocks, candidates, skipped, raised)
+
+    def test_root_of_a_scalar_junk_shape_scores_two_blocks(self, monkeypatch):
+        # The shape of the scalar_junk benchmark: 1-D, alpha = 0.2, five
+        # clusters 400 apart, 1% of the outliers moved to far uniform junk.
+        # Its root split lies in two blocks; the own-fraction bound alone
+        # scored nine.
+        from ldme import RunConfig, instances, preprocess_rescale
+        from ldme.instances import InstanceSpec
+
+        spec = InstanceSpec(n=100_000, d=1, alpha=0.2, adversary="line_clusters",
+                            decoys=4, separation=400.0, mean_radius=25.0, seed=5)
+        points, mask, _ = instances.gen_instance(spec)
+        rng = np.random.default_rng(5)
+        outliers = np.flatnonzero(~mask)
+        junk = rng.choice(outliers, len(outliers) // 100, replace=False)
+        points[junk] = rng.uniform(-5000.0, 5000.0, (len(junk), 1))
+        proj = np.sort(preprocess_rescale(points, RunConfig(alpha=0.2)).points[:, 0])
+        w = WeightFn(np.ones(len(proj)))
+
+        block_best = multifilter._block_best
+        scored = []
+        monkeypatch.setattr(
+            multifilter, "_block_best", lambda *a: scored.append(a[-3:]) or block_best(*a)
+        )
+        sp = find_split(proj, w, 0.2, slice(None))
+        assert sp is not None and len(scored) <= 2, scored
+        assert (sp.t, sp.R) == find_split_both_families(proj, w.weights, 0.2)

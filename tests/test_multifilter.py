@@ -120,6 +120,63 @@ class TestQuantileInterval:
         assert reordered >= 100  # the default sort did reorder ties
 
 
+def quantile_from_full_sums(vals, wts, alpha):
+    """(a, b) over ascending vals from running sums of the whole support: a
+    from the prefix sums, b from the suffix sums, cumsum of the reversed
+    weights."""
+    tau = alpha * WeightFn(wts).total / 8.0
+    ja = int(np.searchsorted(np.cumsum(wts)[:-1], tau, side="right"))
+    at_or_above = np.cumsum(wts[::-1])[::-1]  # weight at positions >= k
+    above = np.r_[at_or_above[1:], 0.0]
+    jb = int(np.flatnonzero(above <= tau)[0])
+    return float(vals[ja]), float(vals[jb])
+
+
+class TestQuantileEnds:
+    """quantile_interval sums only as much of each end as the trim needs."""
+
+    @staticmethod
+    def _faint_edges(rng, n):
+        """Ascending values whose lowest and highest rows weigh zero or
+        almost nothing, so the sums of each end grow several times."""
+        vals = np.sort(rng.normal(size=n) * rng.uniform(1.0, 1e3))
+        wts = rng.uniform(0.0, 1.0, n)
+        for edge in (slice(None, int(rng.integers(0, n // 3 + 1))),
+                     slice(n - int(rng.integers(0, n // 3 + 1)), None)):
+            wts[edge] = 0.0 if rng.integers(0, 2) else rng.uniform(0.0, 1e-12, len(wts[edge]))
+        wts[rng.integers(n // 3, n - n // 3)] = 1.0
+        return vals, wts
+
+    def test_ends_match_sums_over_the_whole_support(self):
+        rng = np.random.default_rng(49)
+        for n in (1, 2, 3, 17, 500, 4_000, 30_000, 120_000, 200_000):
+            for _ in range(3):
+                vals, wts = self._faint_edges(rng, n)
+                alpha = float(rng.uniform(0.02, 0.45))
+                want = quantile_from_full_sums(vals, wts, alpha)
+                got = quantile_interval(vals, WeightFn(wts), alpha, slice(None))
+                assert got == want, (n, alpha)
+                perm = rng.permutation(n)  # distinct values: one sorted order
+                assert quantile_interval(vals[perm], WeightFn(wts[perm]), alpha) == want
+
+    def test_presorted_call_sums_only_the_ends(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(50)
+        n = 100_000
+        vals = np.sort(rng.normal(size=n))
+        w = WeightFn(np.ones(n))
+        quantile_interval(vals, w, 0.2, slice(None))  # warm caches and imports
+        tracemalloc.start()
+        try:
+            got = quantile_interval(vals, w, 0.2, slice(None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == quantile_from_full_sums(vals, w.weights, 0.2)
+        assert peak <= 8 * n / 4, peak / (8 * n)
+
+
 class TestTruncatedVariance:
     def test_constant_data(self):
         w = WeightFn([0.3, 0.7, 0.0])

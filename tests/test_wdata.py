@@ -74,6 +74,17 @@ class TestPointSet:
         assert not ps.points.flags.writeable
 
     @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_fortran_ordered_input_is_stored_row_major(self, scale):
+        # Row gathers and per-row reductions read the copy row by row.
+        build = PointSet if scale == 1.0 else lambda p: PointSet._centered(p, scale)
+        pts = np.random.default_rng(10).normal(size=(50, 4)) * 100.0
+        f_pts = np.asfortranarray(pts)
+        assert not f_pts.flags.c_contiguous
+        ps = build(f_pts)
+        assert ps.points.flags.c_contiguous
+        assert ps.points.tobytes() == build(pts).points.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_each_nonfinite_value(self, bad, scale):
         # Scale 1 builds a PointSet, any other the driver's centered set.
@@ -186,6 +197,16 @@ class TestProject:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             project(PointSet([[1.0, 2.0]]), np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_dimension_is_the_scaled_column(self, sign):
+        rng = np.random.default_rng(11)
+        ps = PointSet(np.r_[rng.normal(size=200) * 1e6, 0.0, -0.0][:, None])
+        v = np.array([sign])
+        proj = project(ps, v)
+        np.testing.assert_array_equal(proj, np.einsum("ij,j->i", ps.points, v))
+        np.testing.assert_array_equal(proj, sign * ps.points[:, 0])
+        assert not np.shares_memory(proj, ps.points)
 
     @pytest.mark.parametrize("d", [8, 20, 200])
     def test_restricted_rows_project_to_the_same_bits(self, d):
