@@ -26,17 +26,17 @@ from .wdata import EigenPair, PointSet, WeightFn, approx_top_eigenpair, weighted
 class BranchState:
     """One live node of the search tree: positive weights on its support.
 
-    rows holds the row indices of the support into the centered, rescaled
-    PointSet and weights one positive weight per row; rows=None stands for
-    every row in input order, as at the root. Past the root the rows are in
-    ascending order of their parent's projections, so in 1-D the next pass
-    finds them sorted and sorts nothing.
+    rows holds the support's rows of the centered, rescaled PointSet and
+    weights one positive weight per row; rows=None stands for every row, as
+    at the root. Past the root the rows ascend along the parent's direction:
+    a slice, a run read as a view, below every pass that did not sort (so
+    always in 1-D, where the column ascends), else an index array.
     """
 
     weights: WeightFn
     depth: int
     lineage: tuple[str, ...]
-    rows: np.ndarray | None = None
+    rows: np.ndarray | slice | None = None
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,25 @@ def preprocess_rescale(points, cfg: RunConfig) -> PointSet:
     scale_c * sigma (RunConfig checks sigma > 0).
 
     The set's center holds that mean, in the input's coordinates. Working
-    relative to it keeps the rounding of every later step at the scale of
-    the sample's spread, not of its offset from the origin.
+    relative to it keeps later rounding at the scale of the sample's spread,
+    not of its offset from the origin. A 1-D column is then sorted ascending.
     """
-    return PointSet._centered(points, cfg.rescale_factor)
+    return _rescaled(points, cfg)[0]
+
+
+def _rescaled(points, cfg: RunConfig, inlier_mask=None) -> tuple[PointSet, np.ndarray | None]:
+    """preprocess_rescale's set, and the inlier mask (None if not given),
+    checked and permuted as the 1-D sort moved its rows."""
+    ps = PointSet._centered(points, cfg.rescale_factor)
+    mask = None if inlier_mask is None else np.asarray(inlier_mask, dtype=bool)
+    if mask is not None and mask.shape != (ps.n,):
+        raise ValueError(f"inlier mask has shape {mask.shape}, expected ({ps.n},)")
+    if ps.d > 1 or (ps.points[1:, 0] >= ps.points[:-1, 0]).all():
+        return ps, mask
+    if mask is None:  # sorting the values alone is several times faster
+        return PointSet._over(np.sort(ps.points, axis=0), ps.center), None
+    order = np.argsort(ps.points[:, 0])
+    return PointSet._over(ps.points[order], ps.center), mask[order]
 
 
 def postprocess_unscale(
@@ -137,14 +152,12 @@ def postprocess_unscale(
 def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> SubroutineResult:
     """Process one branch: eigendirection, filtering pass, prune children.
 
-    The pass runs on the branch's support: it gathers the rows of ps at
-    branch.rows (the root, with rows=None, uses ps as it is), so the
-    eigensolve and the filtering pass scale with |supp|, not n. A branch
-    built by a caller with rows=None and some zero weights first drops those
-    rows. The filter sorts the projections unless they already ascend
-    (always so in 1-D after the root), and the children keep that ascending
-    order: each carries the rows and weights of its own support, as the
-    filter found them.
+    The pass runs on the rows of ps at branch.rows: a view of a run, else
+    gathered (the root, with rows=None, uses ps as it is), so it scales with
+    |supp|, not n. A branch built by a caller with rows=None and some zero
+    weights first drops those rows. The filter sorts the projections unless
+    they ascend (always so in 1-D), and the children keep that order: each
+    carries its own support's rows and weights, as the filter found them.
 
     On a certified pass the weighted mean of the branch's support (in the
     rescaled coordinates of ps) is returned as the hypothesis. Otherwise the
@@ -154,10 +167,14 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     if rows is None and not w.weights.min() > 0.0:
         rows = np.flatnonzero(w.weights > 0.0)
         w = WeightFn._own(w.weights[rows])
-    sub_ps = ps if rows is None else ps.restrict(rows)
+    if isinstance(rows, slice):
+        sub_ps = PointSet._over(ps.points[rows])
+    else:
+        sub_ps = ps if rows is None else ps.restrict(rows)
     eig = approx_top_eigenpair(sub_ps, w)
+    var = eig.value if ps.d == 1 else None
     try:
-        outcome = basic_multifilter(sub_ps, w, eig.direction, cfg.alpha, cfg)
+        outcome = basic_multifilter(sub_ps, w, eig.direction, cfg.alpha, cfg, _variance=var)
     except InfeasibleSplit as err:
         err.details["lineage"] = branch.lineage
         err.details["depth"] = branch.depth
@@ -167,7 +184,7 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     floor = cfg.alpha * ps.n / 2.0
     lineage = branch.lineage + (outcome.tag,)
     children = [
-        BranchState(wf, branch.depth + 1, lineage, _child_rows(rows, at, sub_ps.n))
+        BranchState(wf, branch.depth + 1, lineage, _child_rows(rows, at))
         for wf, at in zip(outcome.children, outcome.rows)
     ]
     kept = tuple(child for child in children if child.weights.total >= floor)
@@ -175,13 +192,16 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     return SubroutineResult(None, kept, pruned, outcome, eig)
 
 
-def _child_rows(rows: np.ndarray | None, at: np.ndarray | slice, n: int) -> np.ndarray:
-    """A child's rows of ps as a fresh array, from its rows ``at`` of the
-    pass's n-row point set: an index array, or a slice when the pass did
-    not sort. rows=None stands for every row in order."""
+def _child_rows(rows: np.ndarray | slice | None, at: np.ndarray | slice):
+    """A child's rows of ps, from its rows ``at`` of the pass's point set: an
+    index array, or a slice when the pass did not sort. rows=None stands for
+    every row in order. A run of a run is a run; an index array is fresh."""
+    if isinstance(rows, np.ndarray):
+        return rows[at].copy() if isinstance(at, slice) else rows[at]
+    base = 0 if rows is None else rows.start
     if isinstance(at, slice):
-        return np.arange(*at.indices(n)) if rows is None else rows[at].copy()
-    return at if rows is None else rows[at]
+        return slice(base + at.start, base + at.stop)
+    return at + base if base else at
 
 
 def _inlier_mass(branch: BranchState, mask: np.ndarray | None) -> float | None:
@@ -256,14 +276,8 @@ def list_decode_mean(
         (HypothesisList, trace events). The trace is empty when cfg.trace
         is false.
     """
-    ps = preprocess_rescale(points, cfg)
+    ps, mask = _rescaled(points, cfg, inlier_mask)
     n = ps.n
-
-    mask = None
-    if inlier_mask is not None:
-        mask = np.asarray(inlier_mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ValueError(f"inlier mask has shape {mask.shape}, expected ({n},)")
 
     trace: list[TraceEvent] = []
     hypotheses: list[np.ndarray] = []

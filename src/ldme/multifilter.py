@@ -462,17 +462,19 @@ def basic_multifilter(
     v: np.ndarray,
     alpha: float,
     cfg: RunConfig,
+    *, _variance: float | None = None,
 ) -> MultifilterOutcome:
     """Run one filtering pass along the unit direction v.
 
     Computes the central quantile interval I; when the variance truncated to
     the doubled interval is at most big_c * lg(2/alpha)^2, either certifies
     (full weighted variance at most twice that) or softly downweights by
-    distance from I. Otherwise splits the weights via find_split.
+    distance from I. Otherwise splits the weights via find_split. In 1-D the
+    driver passes the full variance, its eigenvalue, as ``_variance``.
 
     The pass works in ascending order of the projections. When they
-    already ascend as given (in 1-D past the root, where each branch keeps
-    its parent's order), the pass neither sorts nor builds an order;
+    already ascend as given (in 1-D, where the driver sorts its column
+    once), the pass neither sorts nor builds an order;
     otherwise it sorts them once. Every set the pass reads is then a run of
     that order: the doubled window, the tails outside I, the halves of a
     split. The children keep the order (see MultifilterOutcome): a split
@@ -498,7 +500,7 @@ def basic_multifilter(
     lg = np.log2(2.0 / alpha)
     gate = cfg.big_c * lg * lg
     if truncated_variance(proj, w, _doubled(interval), ascending) <= gate:
-        if weighted_variance(proj, w) <= 2.0 * gate:
+        if (weighted_variance(proj, w) if _variance is None else _variance) <= 2.0 * gate:
             return MultifilterOutcome("certified")
         new, kept = soft_downweight(proj, w, interval, ascending)
         return MultifilterOutcome("reweighted", (new,), rows=(_rows(order, kept),))
@@ -515,8 +517,8 @@ def basic_multifilter(
             },
         )
     # Ascending projections make {x >= t - R} a suffix and {x < t + R} a prefix.
-    lo, hi = np.searchsorted(proj, (sp.t - sp.R, sp.t + sp.R))
+    lo, hi = np.searchsorted(proj, (sp.t - sp.R, sp.t + sp.R)).tolist()
     right = WeightFn._own(w.weights[lo:].copy())
     left = WeightFn._own(w.weights[:hi].copy())
-    rows = (_rows(order, slice(lo, None)), _rows(order, slice(None, hi)))
+    rows = (_rows(order, slice(lo, len(proj))), _rows(order, slice(0, hi)))
     return MultifilterOutcome("split", (right, left), sp, rows)

@@ -69,8 +69,13 @@ class PointSet:
         pts, mean = _rows(np.array(points, dtype=np.float64, order="C"))
         pts -= mean
         pts *= 1.0 / scale
+        return cls._over(pts, mean)
+
+    @classmethod
+    def _over(cls, pts: np.ndarray, center: np.ndarray | None = None) -> "PointSet":
+        """A set over the float64 n x d array pts itself, made read-only."""
         ps = cls.__new__(cls)
-        ps._adopt(pts, mean)
+        ps._adopt(pts, center)
         return ps
 
     def _adopt(self, pts: np.ndarray, center: np.ndarray | None) -> None:
@@ -88,9 +93,7 @@ class PointSet:
         rows = np.asarray(rows)
         if rows.dtype == bool:
             raise TypeError("restrict takes row indices, not a boolean mask")
-        sub = PointSet.__new__(PointSet)
-        sub._adopt(np.take(self.points, rows, axis=0), None)
-        return sub
+        return PointSet._over(np.take(self.points, rows, axis=0))
 
     def __repr__(self) -> str:
         return f"PointSet(n={self.n}, d={self.d})"

@@ -239,6 +239,29 @@ class TestListDecodeMean:
         assert audit.max_depth <= 1500
         assert len(hyps) <= 4 / 0.15**2
 
+    def test_audited_invariants_hold_in_1d(self):
+        # 1-D branches are runs of the sorted column; the auditor's set,
+        # rebuilt by preprocess_rescale, is that column, and the inlier
+        # mask is permuted with it.
+        spec = InstanceSpec(
+            n=3000, d=1, alpha=0.2, adversary="line_clusters", decoys=4,
+            separation=300.0, mean_radius=5.0, seed=19,
+        )
+        pts, mask, _ = gen_instance(spec)
+        pts[np.flatnonzero(~mask)[:30]] = np.linspace(-5000.0, 5000.0, 30)[:, None]
+        cfg = RunConfig(alpha=0.2, seed=19)
+        hyps, trace, audit = run_audited(pts, cfg, inlier_mask=mask)
+        assert audit.violations == []
+        assert audit.splits > 0 and audit.reweighted > 0
+        assert trace[0].ws_before == mask.sum()
+        # Each row keeps its mask entry: shuffled rows give the same masses.
+        perm = np.random.default_rng(20).permutation(len(pts))
+        shuffled = list_decode_mean(pts[perm], cfg, inlier_mask=mask[perm])[1]
+        assert [ev.tag for ev in shuffled] == [ev.tag for ev in trace]
+        np.testing.assert_allclose(
+            [ev.ws_after for ev in shuffled], [ev.ws_after for ev in trace], rtol=1e-9
+        )
+
     def test_certified_lambda_star_survives_a_large_offset(self):
         # lambda_star is reported as computed, so a common offset of 1e9
         # moves the certified branches' top eigenvalues by rounding only.
@@ -345,6 +368,12 @@ def sorted_rows(vectors):
     return vectors[np.lexsort(vectors.T[::-1])]
 
 
+def row_indices(rows, n):
+    """A branch's rows of the driver's n-row set as an index array, whether
+    they are None (every row), a slice (a run) or an index array."""
+    return np.arange(n) if rows is None else np.arange(n)[rows]
+
+
 class TestSupportLocalPass:
     def test_children_match_full_pass_on_sparse_branches(self):
         # 1% of the outliers are far junk, so sparse branches reweight too.
@@ -388,6 +417,7 @@ class TestSupportLocalPass:
         assert tags == {"reweighted", "split"}
 
     def test_children_share_no_memory_with_the_parent(self):
+        # Index-array rows (d = 4) and runs of the sorted column (d = 1).
         spec = InstanceSpec(
             n=1500, d=4, alpha=0.1, adversary="line_clusters", decoys=9,
             separation=400.0, mean_radius=25.0, seed=3,
@@ -398,6 +428,10 @@ class TestSupportLocalPass:
         pts[junk] = rng.uniform(-5000.0, 5000.0, (14, 4))
         steps = []
         list_decode_mean(pts, RunConfig(alpha=0.1, trace=False), observer=steps.append)
+        list_decode_mean(
+            junk_instance(1500, 1, seed=3), RunConfig(alpha=0.2, trace=False),
+            observer=steps.append,
+        )
         cases = [(st.branch, st.result) for st in steps]
         # A heavy-tailed cloud reweights on its full support.
         cloud = np.vstack([rng.normal(size=(200, 3)) * 0.3, [[500.0, 0.0, 0.0]]])
@@ -406,19 +440,25 @@ class TestSupportLocalPass:
         cases.append((root, main_subroutine(PointSet(cloud), root, cfg)))
         seen = set()
         for branch, res in cases:
-            full = branch.rows is None
+            form = "all" if branch.rows is None else type(branch.rows).__name__
             children = res.children + res.pruned
             if children:
-                seen.add((res.outcome.tag, full))
-            # The parent's arrays, then each child's rows and weights.
-            arrays = [branch.weights.weights] + ([] if full else [branch.rows])
+                seen.add((res.outcome.tag, form))
+            # The parent's arrays, then each child's weights and index rows;
+            # a run is a slice and holds no memory.
+            arrays = [branch.weights.weights]
+            arrays += [branch.rows] if form == "ndarray" else []
             for child in children:
                 w, rows = child.weights.weights, child.rows
-                assert w.shape == rows.shape and not w.flags.writeable
-                assert not any(np.shares_memory(a, b) for a in (w, rows) for b in arrays)
-                arrays += [w, rows]
+                if form != "all":  # a run's children are runs, and so on
+                    assert type(rows).__name__ == form
+                size = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+                assert w.shape == (size,) and not w.flags.writeable
+                own = [w] + ([] if isinstance(rows, slice) else [rows])
+                assert not any(np.shares_memory(a, b) for a in own for b in arrays)
+                arrays += own
         assert seen == {
-            ("reweighted", True), ("reweighted", False), ("split", True), ("split", False)
+            (tag, form) for tag in ("reweighted", "split") for form in ("all", "ndarray", "slice")
         }
 
     def test_infeasible_split_counts_supported_rows(self):
@@ -451,28 +491,39 @@ def junk_instance(n, d, seed):
     return pts
 
 
+def counted_sorts(monkeypatch) -> list:
+    """The names of the numpy sorts called from now on, in call order."""
+    calls = []
+    for name in ("sort", "argsort"):
+        sort = getattr(np, name)
+        monkeypatch.setattr(
+            np, name, lambda *a, _sort=sort, _name=name, **k: calls.append(_name) or _sort(*a, **k)
+        )
+    return calls
+
+
 class TestSortedBranches:
     """Branches past the root carry their support in ascending order of
     their parent's direction, so a pass whose projections already ascend
-    (every pass past the root in 1-D) sorts nothing."""
+    sorts nothing. In 1-D the driver sorts its column once, so every pass
+    ascends and every branch is a run of the column: a slice of rows."""
 
     @pytest.mark.parametrize("d", [1, 6])
     def test_one_sort_per_run_in_1d_and_per_pass_otherwise(self, monkeypatch, d):
+        # In 1-D the one sort sorts the values, or argsorts them when an
+        # inlier mask must follow its rows.
         pts = junk_instance(4000, d, seed=51)
-        sorts = 0
-        argsort = np.argsort
-
-        def counted(*args, **kwargs):
-            nonlocal sorts
-            sorts += 1
-            return argsort(*args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", counted)
+        sorts = counted_sorts(monkeypatch)
         steps = []
         list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), observer=steps.append)
         tags = {step.result.outcome.tag for step in steps}
         assert {"reweighted", "split"} <= tags and len(steps) >= 10
-        assert sorts == (1 if d == 1 else len(steps))
+        assert sorts == (["sort"] if d == 1 else ["argsort"] * len(steps))
+        if d == 1:
+            sorts.clear()
+            mask = np.zeros(len(pts), dtype=bool)
+            list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), inlier_mask=mask)
+            assert sorts == ["argsort"]
 
     def test_1d_rows_in_ascending_order_are_never_sorted(self, monkeypatch):
         # The root's projections already ascend, so even its pass sorts
@@ -482,18 +533,10 @@ class TestSortedBranches:
         cfg = RunConfig(alpha=0.2, trace=False)
         want = sorted_rows(list_decode_mean(pts, cfg)[0].vectors)
         ascending = pts[np.argsort(pts[:, 0])]
-        sorts = 0
-        argsort = np.argsort
-
-        def counted(*args, **kwargs):
-            nonlocal sorts
-            sorts += 1
-            return argsort(*args, **kwargs)
-
-        monkeypatch.setattr(np, "argsort", counted)
+        sorts = counted_sorts(monkeypatch)
         steps = []
         got = list_decode_mean(ascending, cfg, observer=steps.append)[0]
-        assert sorts == 0 and len(steps) >= 10
+        assert sorts == [] and len(steps) >= 10
         got = sorted_rows(got.vectors)
         assert got.shape == want.shape and len(want) >= 1
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
@@ -507,9 +550,11 @@ class TestSortedBranches:
         children = [c for st in steps for c in st.result.children + st.result.pruned]
         for branch in [st.branch for st in steps[1:]] + children:
             w = branch.weights.weights
-            assert len(w) == len(branch.rows) < len(pts)
+            rows = row_indices(branch.rows, len(pts))
+            assert isinstance(branch.rows, slice if d == 1 else np.ndarray)
+            assert len(w) == len(rows) < len(pts)
             assert (w > 0.0).all()
-            assert len(np.unique(branch.rows)) == len(branch.rows)
+            assert len(np.unique(rows)) == len(rows)
 
     def test_reweighted_children_drop_only_ends_of_the_order(self):
         pts = junk_instance(4000, 1, seed=53)
@@ -520,23 +565,67 @@ class TestSortedBranches:
         reweights = [st for st in steps if st.result.outcome.tag == "reweighted"]
         assert len(reweights) >= 5
         for st in reweights:
+            # The column ascends, so every branch, the root too, reads its
+            # rows in ascending order without a sort.
             branch = st.branch
-            rows = np.arange(ps.n) if branch.rows is None else branch.rows
-            x = ps.points[rows, 0]
-            order = np.argsort(x) if branch.rows is None else np.arange(len(rows))
-            x, rows, w = x[order], rows[order], branch.weights.weights[order]
+            rows = row_indices(branch.rows, ps.n)
+            x, w = ps.points[rows, 0], branch.weights.weights
             assert (np.diff(x) >= 0.0).all()
             (child,) = st.result.children + st.result.pruned
-            k0 = int(np.flatnonzero(rows == child.rows[0])[0])
-            k1 = k0 + len(child.rows)
+            assert isinstance(child.rows, slice)
+            k0, k1 = child.rows.start - rows[0], child.rows.stop - rows[0]
             # A prefix and a suffix of the sorted rows are dropped, at least one row.
-            assert k0 + len(rows) - k1 >= 1
-            np.testing.assert_array_equal(child.rows, rows[k0:k1])
+            assert 0 <= k0 <= k1 <= len(rows) and k0 + len(rows) - k1 >= 1
+            assert len(child.weights) == k1 - k0
             # The rows inside the quantile interval keep their weights bit for bit.
             a, b = quantile_interval(x, WeightFn(w), cfg.alpha)
             inside = (x[k0:k1] >= a) & (x[k0:k1] <= b)
             assert inside.sum() >= 0.5 * len(rows)
             np.testing.assert_array_equal(child.weights.weights[inside], w[k0:k1][inside])
+
+    def test_runs_below_a_root_that_did_not_sort(self):
+        # Rows given in ascending order of the root's projections: its
+        # pass sorts nothing, so its children are runs; their passes sort
+        # along a new direction, and their children index the whole set.
+        rng = np.random.default_rng(7)
+        centers = np.array([[0.0, 0.0], [0.0, 300.0], [2000.0, 0.0], [2000.0, 300.0]])
+        pts = np.vstack([c + rng.normal(size=(300, 2)) for c in centers])
+        cfg = RunConfig(alpha=0.2, trace=False)
+        ps = preprocess_rescale(pts, cfg)
+        v = ldme.driver.approx_top_eigenpair(ps, WeightFn(np.ones(ps.n))).direction
+        ascending = pts[np.argsort(ps.points @ v)]
+        steps = []
+        got, _, audit = run_audited(ascending, cfg)
+        list_decode_mean(ascending, cfg, observer=steps.append)
+        assert audit.violations == [] and len(got) == 4
+        assert all(isinstance(c.rows, slice) for c in steps[0].result.children)
+        below = [c for st in steps[1:3] for c in st.result.children]
+        assert below and all(isinstance(c.rows, np.ndarray) for c in below)
+        want = sorted_rows(list_decode_mean(pts, cfg)[0].vectors)
+        np.testing.assert_allclose(sorted_rows(got.vectors), want, rtol=0.0, atol=1e-9 * 2000)
+
+    def test_1d_passes_read_views_of_the_root_column(self, monkeypatch):
+        # Past the sort in preprocessing, a 1-D run gathers no rows: each
+        # pass reads a read-only view of the root's column.
+        pts = junk_instance(4000, 1, seed=54)
+        gathers = []
+        monkeypatch.setattr(np, "take", lambda *a, **k: gathers.append("take"))
+        monkeypatch.setattr(PointSet, "restrict", lambda *a: gathers.append("restrict"))
+        seen = []
+        eigenpair = ldme.driver.approx_top_eigenpair
+        monkeypatch.setattr(
+            ldme.driver, "approx_top_eigenpair", lambda ps, w: seen.append(ps) or eigenpair(ps, w)
+        )
+        steps = []
+        list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), observer=steps.append)
+        assert gathers == [] and len(steps) == len(seen) >= 10
+        root = seen[0].points
+        assert not root.flags.writeable and (np.diff(root[:, 0]) >= 0.0).all()
+        for step, ps in zip(steps[1:], seen[1:]):
+            rows = step.branch.rows
+            assert isinstance(rows, slice) and ps.n == rows.stop - rows.start
+            assert np.shares_memory(ps.points, root) and not ps.points.flags.writeable
+            assert ps.points.__array_interface__["data"] == root[rows].__array_interface__["data"]
 
 
 @pytest.mark.parametrize("adversary", ["line_clusters", "decoy_clusters"])

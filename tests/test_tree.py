@@ -26,13 +26,16 @@ from ldme import (
 )
 from auditing import report_bytes
 
-# Three instances whose trees certify, reweight, split and prune, none with
+# Four instances whose trees certify, reweight, split and prune, none with
 # a zero lambda_star: each is generated, then ``junk`` of its outlier rows
 # are moved far out. The digests were taken once the driver centered the
 # sample on its column mean; the trace before that agreed with them on
 # every id, parent, depth, tag, support size and mass, and within 4e-15
-# relative on every lambda_star. They hold for numpy 2.4 on x86-64, and
-# another BLAS may round the eigensolve differently.
+# relative on every lambda_star. The 1-D instance's were taken once the
+# driver sorted its column: before that, only the root's lambda_star
+# differed, by 2.2e-16 relative, as its variance summed in input order.
+# They hold for numpy 2.4 on x86-64, and another BLAS may round the
+# eigensolve differently.
 PINNED = {
     "line_clusters": (
         dict(n=1200, d=6, alpha=0.15, adversary="line_clusters", decoys=4,
@@ -52,6 +55,16 @@ PINNED = {
             "d2fafc0ab90708b29b2b5578fd959cce173604a298222463523db5dfa3bf874b",
             "ea8a0981feb37dff8a7a5b2517c70df9ad70719d823caafd05d26507c79d658a",
             "d185fd82ad7a1a3f45856a8bc2cd30cb84929aa51df95f4e5f41d72144dcdbc1",
+        ),
+    ),
+    "line_clusters_1d": (
+        dict(n=1500, d=1, alpha=0.2, adversary="line_clusters", decoys=4,
+             separation=300.0, mean_radius=5.0, seed=24),
+        20,
+        (
+            "efb61c1a09b359099ac1164e9fc9f787d20d5adb884e9c58235003a4c72188f6",
+            "c36fe70535ff161bce1c7cd7833a9aca446d8b3eda0617039d811030d2b857dc",
+            "2c80c69d1b06cbea8f21cb5f22215902a72a3e3bec919f9da47a73776b815419",
         ),
     ),
     "uniform_noise": (
