@@ -160,8 +160,9 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     carries its own support's rows and weights, as the filter found them.
 
     On a certified pass the weighted mean of the branch's support (in the
-    rescaled coordinates of ps) is returned as the hypothesis. Otherwise the
-    surviving children are those with total mass >= alpha*n/2.
+    rescaled coordinates of ps; for d > 1 the eigenpair's) is returned as
+    the hypothesis. Otherwise the surviving children are those with total
+    mass >= alpha*n/2.
     """
     rows, w = branch.rows, branch.weights
     if rows is None and not w.weights.min() > 0.0:
@@ -172,15 +173,17 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     else:
         sub_ps = ps if rows is None else ps.restrict(rows)
     eig = approx_top_eigenpair(sub_ps, w)
-    var = eig.value if ps.d == 1 else None
     try:
-        outcome = basic_multifilter(sub_ps, w, eig.direction, cfg.alpha, cfg, _variance=var)
+        outcome = basic_multifilter(
+            sub_ps, w, eig.direction, cfg.alpha, cfg, _eigenvalue=eig.value
+        )
     except InfeasibleSplit as err:
         err.details["lineage"] = branch.lineage
         err.details["depth"] = branch.depth
         raise
     if outcome.tag == "certified":
-        return SubroutineResult(weighted_mean(sub_ps, w), (), (), outcome, eig)
+        mean = weighted_mean(sub_ps, w) if eig.mean is None else eig.mean
+        return SubroutineResult(mean, (), (), outcome, eig)
     floor = cfg.alpha * ps.n / 2.0
     lineage = branch.lineage + (outcome.tag,)
     children = [

@@ -20,6 +20,8 @@ from .wdata import PointSet, WeightFn, _variance, project, weighted_variance
 # Candidates per block of the split search: every temporary of the search is
 # this long, whatever the support's size.
 SPLIT_BLOCK = 1 << 12
+# Relative margin of the eigenvalue certificate, for rounding.
+EIGEN_SLACK = 1.0 - 1e-9
 
 
 class InfeasibleSplit(RuntimeError):
@@ -462,15 +464,19 @@ def basic_multifilter(
     v: np.ndarray,
     alpha: float,
     cfg: RunConfig,
-    *, _variance: float | None = None,
+    *, _eigenvalue: float | None = None,
 ) -> MultifilterOutcome:
     """Run one filtering pass along the unit direction v.
 
     Computes the central quantile interval I; when the variance truncated to
-    the doubled interval is at most big_c * lg(2/alpha)^2, either certifies
-    (full weighted variance at most twice that) or softly downweights by
-    distance from I. Otherwise splits the weights via find_split. In 1-D the
-    driver passes the full variance, its eigenvalue, as ``_variance``.
+    the doubled interval is at most gate = big_c * lg(2/alpha)^2, either
+    certifies (full weighted variance at most twice that) or softly
+    downweights by distance from I. Otherwise splits the weights via
+    find_split. The driver passes the variance along v, its eigenvalue
+    lambda, as ``_eigenvalue`` (in 1-D the full variance); lambda <=
+    (1 - alpha/4) * gate * EIGEN_SLACK certifies at once, since I holds at
+    least (1 - alpha/4) * w(T), so the truncated variance is at most
+    lambda / (1 - alpha/4) <= gate and the full pass would certify too.
 
     The pass works in ascending order of the projections. When they
     already ascend as given (in 1-D, where the driver sorts its column
@@ -489,6 +495,10 @@ def basic_multifilter(
             just-the-wrong separations; the branch must be aborted rather
             than silently degrade the guarantees.
     """
+    lg = np.log2(2.0 / alpha) if 0.0 < alpha < 2.0 else np.nan  # refused below
+    gate = cfg.big_c * lg * lg
+    if _eigenvalue is not None and _eigenvalue <= (1.0 - alpha / 4.0) * EIGEN_SLACK * gate:
+        return MultifilterOutcome("certified")
     proj = project(ps, v)
     ascending = slice(None)  # handed to every step below
     if (proj[1:] >= proj[:-1]).all():
@@ -497,10 +507,9 @@ def basic_multifilter(
         order = np.argsort(proj)
         proj, w = proj[order], WeightFn._own(w.weights[order])
     interval = quantile_interval(proj, w, alpha, ascending)
-    lg = np.log2(2.0 / alpha)
-    gate = cfg.big_c * lg * lg
     if truncated_variance(proj, w, _doubled(interval), ascending) <= gate:
-        if (weighted_variance(proj, w) if _variance is None else _variance) <= 2.0 * gate:
+        if (_eigenvalue if ps.d == 1 and _eigenvalue is not None
+                else weighted_variance(proj, w)) <= 2.0 * gate:
             return MultifilterOutcome("certified")
         new, kept = soft_downweight(proj, w, interval, ascending)
         return MultifilterOutcome("reweighted", (new,), rows=(_rows(order, kept),))

@@ -5,7 +5,8 @@ lives in a WeightFn attached to it. Means, variances and projections cost
 O(n*d). The top eigenpair is exact: the d x d weighted covariance is
 formed in O(n d^2), as one product on the driver's centered set under
 all-ones weights and block by block otherwise, and handed to a dense
-symmetric eigensolver, O(d^3); in 1-D it is the weighted variance.
+symmetric eigensolver, O(d^3); in 1-D it is the weighted variance. The
+pair keeps the mean the covariance was centered on, for reuse.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_TOL = 1e-9
-# Entries per centered block of the covariance accumulation (512 KiB).
+# Entries per block of centering and of the covariance accumulation (512 KiB).
 BLOCK_ELEMENTS = 1 << 16
 
 
@@ -62,13 +63,21 @@ class PointSet:
         """The points minus their column mean, divided by scale, as a set
         whose center is that mean.
 
-        Both steps run in place on the one fresh float64 copy, so building
-        the set holds only the input and that copy. The division is a
-        multiply by 1/scale, which is exact when scale is a power of two.
+        A C-ordered float64 input is read as it is, any other converted
+        once; after the mean (the gemv of _rows), (x - mean) * (1/scale) is
+        written into the one fresh array, BLOCK_ELEMENTS entries at a time,
+        so the set holds only the input and that array. 1/scale is exact
+        for a power-of-two scale.
         """
-        pts, mean = _rows(np.array(points, dtype=np.float64, order="C"))
-        pts -= mean
-        pts *= 1.0 / scale
+        own = not (isinstance(points, np.ndarray) and points.dtype == np.float64
+                   and points.flags.c_contiguous)
+        src, mean = _rows(np.array(points, dtype=np.float64, order="C") if own else points)
+        pts = src if own else np.empty_like(src)
+        inv, step = 1.0 / scale, max(1, BLOCK_ELEMENTS // src.shape[1])
+        for start in range(0, len(src), step):
+            block = pts[start : start + step]
+            np.subtract(src[start : start + step], mean, out=block)
+            block *= inv
         return cls._over(pts, mean)
 
     @classmethod
@@ -154,11 +163,13 @@ class EigenPair:
     """Top eigenpair of a weighted covariance.
 
     ``value`` equals the Rayleigh quotient of ``direction`` against the
-    weighted covariance, clipped at 0 from below.
+    weighted covariance, clipped at 0 from below. ``mean`` is the
+    ``weighted_mean`` it was centered on, None in 1-D (no covariance).
     """
 
     value: float
     direction: np.ndarray
+    mean: np.ndarray | None = None
 
 
 def _check_unit(v: np.ndarray, d: int) -> np.ndarray:
@@ -213,7 +224,7 @@ def _variance(vals: np.ndarray, wts: np.ndarray, total: float) -> float:
     return float(wts @ dev) / total
 
 
-def _weighted_cov(ps: PointSet, w: WeightFn) -> np.ndarray:
+def _weighted_cov(ps: PointSet, w: WeightFn, mu: np.ndarray) -> np.ndarray:
     """The d x d weighted covariance, (1/w(T)) * sum_x w(x) (x - mu)(x - mu)'.
 
     On a centered set (ps.center is set) under all-ones weights, the
@@ -222,9 +233,8 @@ def _weighted_cov(ps: PointSet, w: WeightFn) -> np.ndarray:
     set is centered on mu and scaled by sqrt(w) a block of about
     BLOCK_ELEMENTS entries at a time, so no n x d temporary is ever made;
     a zero-weight row adds exact zeros, and all-ones weights skip the
-    scaling, which would multiply by 1. O(n d^2).
+    scaling, which would multiply by 1. O(n d^2). mu is weighted_mean(ps, w).
     """
-    mu = weighted_mean(ps, w)
     if ps.center is not None and w.unit:
         cov = ps.points.T @ ps.points
         cov /= w.total
@@ -261,13 +271,14 @@ def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
         w: weights with positive total mass.
 
     Returns:
-        EigenPair with value max(v'Cov v, 0). When the covariance is zero
-        the value is 0 and the direction an arbitrary unit vector.
+        EigenPair with value max(v'Cov v, 0) and mean mu. When the
+        covariance is zero the value is 0 and the direction arbitrary.
     """
     if ps.d == 1:
         return EigenPair(value=weighted_variance(ps.points[:, 0], w), direction=np.ones(1))
-    cov = _weighted_cov(ps, w)
+    mu = weighted_mean(ps, w)
+    cov = _weighted_cov(ps, w, mu)
     v = np.linalg.eigh(cov)[1][:, -1].copy()
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    return EigenPair(value=max(float(v @ cov @ v), 0.0), direction=v)
+    return EigenPair(value=max(float(v @ cov @ v), 0.0), direction=v, mean=mu)

@@ -23,6 +23,7 @@ from ldme import (
     list_decode_mean,
     preprocess_rescale,
 )
+from ldme.multifilter import EIGEN_SLACK
 from oracles import weighted_variance_along
 
 REL = 1e-9
@@ -45,6 +46,14 @@ def report_bytes(report) -> bytes:
     out = report.to_dict()
     del out["wall_time_s"]
     return json.dumps(out, indent=2, sort_keys=True).encode()
+
+
+def eigenvalue_bound(alpha: float, big_c: float) -> float:
+    """The eigenvalue at or below which basic_multifilter certifies before
+    it projects: (1 - alpha/4) * EIGEN_SLACK * big_c * lg(2/alpha)^2, in
+    the pass's own order of operations, so the same bits."""
+    lg = np.log2(2.0 / alpha)
+    return (1.0 - alpha / 4.0) * EIGEN_SLACK * (big_c * lg * lg)
 
 
 def scatter(weights, rows, n: int) -> np.ndarray:

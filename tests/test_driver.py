@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ldme.driver
+import ldme.wdata
 from ldme import (
     BranchState,
     ConfigError,
@@ -22,7 +23,7 @@ from ldme import (
     quantile_interval,
     weighted_mean,
 )
-from auditing import run_audited, scatter
+from auditing import eigenvalue_bound, run_audited, scatter
 from oracles import min_error_naive
 
 
@@ -491,6 +492,10 @@ def junk_instance(n, d, seed):
     return pts
 
 
+def certifies_from_eigenvalue(step, cfg: RunConfig) -> bool:
+    return step.result.eigenpair.value <= eigenvalue_bound(cfg.alpha, cfg.big_c)
+
+
 def counted_sorts(monkeypatch) -> list:
     """The names of the numpy sorts called from now on, in call order."""
     calls = []
@@ -511,14 +516,19 @@ class TestSortedBranches:
     @pytest.mark.parametrize("d", [1, 6])
     def test_one_sort_per_run_in_1d_and_per_pass_otherwise(self, monkeypatch, d):
         # In 1-D the one sort sorts the values, or argsorts them when an
-        # inlier mask must follow its rows.
+        # inlier mask must follow its rows. Otherwise every pass that does
+        # not certify from its eigenvalue sorts once, and one that does
+        # never sorts.
         pts = junk_instance(4000, d, seed=51)
+        cfg = RunConfig(alpha=0.2, trace=False)
         sorts = counted_sorts(monkeypatch)
         steps = []
-        list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), observer=steps.append)
+        list_decode_mean(pts, cfg, observer=steps.append)
         tags = {step.result.outcome.tag for step in steps}
         assert {"reweighted", "split"} <= tags and len(steps) >= 10
-        assert sorts == (["sort"] if d == 1 else ["argsort"] * len(steps))
+        sorted_passes = [st for st in steps if not certifies_from_eigenvalue(st, cfg)]
+        assert 0 < len(sorted_passes) < len(steps)
+        assert sorts == (["sort"] if d == 1 else ["argsort"] * len(sorted_passes))
         if d == 1:
             sorts.clear()
             mask = np.zeros(len(pts), dtype=bool)
@@ -626,6 +636,41 @@ class TestSortedBranches:
             assert isinstance(rows, slice) and ps.n == rows.stop - rows.start
             assert np.shares_memory(ps.points, root) and not ps.points.flags.writeable
             assert ps.points.__array_interface__["data"] == root[rows].__array_interface__["data"]
+
+
+class TestMeanReuse:
+    """For d > 1 a pass takes its branch's weighted mean once, to center
+    the covariance, and a certified branch's hypothesis is that mean. In
+    1-D no covariance is formed, and the driver takes the mean itself."""
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_one_mean_per_pass_and_the_same_bits(self, monkeypatch, d):
+        pts = junk_instance(4000, d, seed=51)
+        cfg = RunConfig(alpha=0.2, trace=False)
+        ps = preprocess_rescale(pts, cfg)
+        means = []
+        for module in (ldme.wdata, ldme.driver):
+            monkeypatch.setattr(
+                module, "weighted_mean", lambda p, w: means.append(p) or weighted_mean(p, w)
+            )
+        steps = []
+        list_decode_mean(pts, cfg, observer=steps.append)
+        certified = [st for st in steps if st.result.hypothesis is not None]
+        assert len(certified) >= 2 and len(steps) >= 10
+        assert len(means) == (len(steps) if d > 1 else len(certified))
+        for step in certified:
+            rows, mean = step.branch.rows, step.result.eigenpair.mean
+            if rows is None:
+                sub = ps
+            elif isinstance(rows, slice):
+                sub = PointSet._over(ps.points[rows])
+            else:
+                sub = ps.restrict(rows)
+            want = weighted_mean(sub, step.branch.weights)
+            assert step.result.hypothesis.tobytes() == want.tobytes()
+            assert (mean is None) == (d == 1)
+            if d > 1:
+                assert mean is step.result.hypothesis
 
 
 @pytest.mark.parametrize("adversary", ["line_clusters", "decoy_clusters"])

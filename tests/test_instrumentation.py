@@ -4,7 +4,11 @@ perfbench/recorder.py times a layer by wrapping a name in the module where
 ldme looks it up. If a rename or an inlined call removes such a lookup, the
 layer's per-layer metric silently reads zero. Two toy solves of the
 benchmark's own workloads, one 1-D and one in d = 20, run under the
-recorder here, and every driver and pass target must record a call.
+recorder here, with a d = 6 solve that reweights: a pass that certifies
+from its eigenvalue takes no variance of its projections, so on the two
+toys that target reads zero, and only a d > 1 pass that reaches the
+certificate's full check (a reweight) calls it. Every driver and pass
+target must record a call.
 """
 
 import sys
@@ -14,8 +18,11 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+import ldme.driver  # noqa: E402
+from ldme import RunConfig  # noqa: E402
 from perfbench.recorder import TARGETS, Recorder  # noqa: E402
 from perfbench.workloads import make_workload  # noqa: E402
+from test_driver import junk_instance  # noqa: E402
 
 PASS_MODULES = ("ldme.driver", "ldme.multifilter")
 
@@ -28,13 +35,21 @@ def test_every_pass_target_records_a_call(tmp_path):
         inp = wl.make_input(0)
         with rec.tracing(op):
             wl.run(inp)
-    calls = {}
+    toys = {}
     for op in range(2):
         for span, layer in rec.layer_times(op).items():
-            calls[span] = calls.get(span, 0) + layer.calls
+            toys[span] = toys.get(span, 0) + layer.calls
+    with rec.tracing(2):
+        ldme.driver.list_decode_mean(junk_instance(4000, 6, seed=51), RunConfig(alpha=0.2))
+    calls = dict(toys)
+    for span, layer in rec.layer_times(2).items():
+        calls[span] = calls.get(span, 0) + layer.calls
     targets = [(module, span) for module, _, span in TARGETS if module in PASS_MODULES]
     assert targets
     for module, span in targets:
         assert calls.get(span, 0) >= 1, f"{module}: no call recorded for {span}"
+    # Every target but the projections' variance is reached by the toys.
+    assert [span for _, span in targets if not toys.get(span, 0)] == ["wdata.variance"]
     # The outcome counts come from the observer the recorder installs.
     assert rec.counts[0]["reweighted"] >= 1 and rec.counts[1]["split"] >= 1
+    assert rec.counts[2]["reweighted"] >= 1

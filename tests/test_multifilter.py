@@ -6,10 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ldme.multifilter
 from ldme import (
+    InfeasibleSplit,
     PointSet,
     RunConfig,
     WeightFn,
+    approx_top_eigenpair,
     basic_multifilter,
     find_split,
     quantile_interval,
@@ -17,8 +20,8 @@ from ldme import (
     truncated_variance,
     weighted_variance,
 )
-from ldme.multifilter import _doubled
-from auditing import scatter
+from ldme.multifilter import EIGEN_SLACK, _doubled
+from auditing import eigenvalue_bound, scatter
 from oracles import (
     quantile_interval_naive,
     soft_downweight_naive,
@@ -585,3 +588,117 @@ class TestSortedKernel:
             np.testing.assert_array_equal(scatter(new, order[rows], len(proj)), got)
         assert zeros_seen >= 50
 
+
+
+@st.composite
+def tailed_1d(draw):
+    """Weighted values: a core, and a pile of mass at a point in each tail."""
+    core = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40))
+    tails = []
+    for sign in (-1.0, 1.0):
+        tails += [sign * draw(st.floats(100.0, 1e6))] * draw(st.integers(0, 12))
+    vals = np.array(core + tails)
+    wts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(vals), max_size=len(vals))))
+    assume(wts.sum() > 0.0)
+    return vals, wts
+
+
+def _near_bound_pass(rng, d, alpha, big_c):
+    """A weighted set whose top eigenvalue lies within 2 % of the bound.
+
+    Gaussian, uniform, two-cluster or heavy-tailed rows with random weights,
+    a fifth of them zero, scaled so the eigenvalue hits a target drawn
+    around the bound.
+    """
+    n = int(rng.integers(50, 400))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        x = rng.normal(size=(n, d))
+    elif kind == 1:
+        x = rng.uniform(-1.0, 1.0, (n, d))
+    elif kind == 2:
+        x = rng.normal(size=(n, d))
+        x[:, 0] += 6.0 * (rng.random(n) < rng.uniform(0.05, 0.5))
+    else:
+        x = rng.standard_t(2.5, (n, d))
+    wts = rng.uniform(0.0, 1.0, n)
+    wts[rng.random(n) < 0.2] = 0.0
+    wts[0] = 1.0
+    w = WeightFn(wts)
+    target = eigenvalue_bound(alpha, big_c) * (1.0 + rng.uniform(-0.02, 0.02))
+    x *= np.sqrt(target / approx_top_eigenpair(PointSet(x), w).value)
+    return PointSet(x + rng.uniform(-50.0, 50.0, d)), w
+
+
+def _tag(call):
+    try:
+        return call().tag
+    except InfeasibleSplit:
+        return "infeasible"
+
+
+class TestEigenvalueCertificate:
+    """A pass handed its eigenvalue certifies at once when lambda <=
+    (1 - alpha/4) * gate, which the full pass would certify too."""
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(tailed_1d(), st.floats(1e-3, 0.5, exclude_max=True))
+    def test_truncated_variance_is_bounded_by_the_full_one(self, inst, alpha):
+        # The doubled window keeps at least (1 - alpha/4) of the weight.
+        # A window mean off by a few ulps adds its square to the variance,
+        # a rounding floor far below any gate: on equal values the full
+        # variance can round to 0 and the window's to ulp(x)^2.
+        vals, wts = inst
+        w = WeightFn(wts)
+        window = _doubled(quantile_interval(vals, w, alpha))
+        bound = weighted_variance(vals, w) / ((1.0 - alpha / 4.0) * EIGEN_SLACK)
+        floor = (8.0 * np.spacing(np.abs(vals).max())) ** 2
+        assert truncated_variance(vals, w, window) <= bound + floor
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    def test_shortcut_fires_only_where_the_full_pass_certifies(self, d):
+        rng = np.random.default_rng(60 + d)
+        fired = full_path = 0
+        for _ in range(300):
+            alpha = float(rng.uniform(0.05, 0.49))
+            cfg = RunConfig(alpha=alpha)
+            ps, w = _near_bound_pass(rng, d, alpha, cfg.big_c)
+            eig = approx_top_eigenpair(ps, w)
+            full = _tag(lambda: basic_multifilter(ps, w, eig.direction, alpha, cfg))
+            fast = _tag(lambda: basic_multifilter(
+                ps, w, eig.direction, alpha, cfg, _eigenvalue=eig.value
+            ))
+            if eig.value <= eigenvalue_bound(alpha, cfg.big_c):
+                fired += 1
+                assert fast == full == "certified"
+            else:
+                full_path += 1
+                assert fast == full
+        assert fired >= 100 and full_path >= 100
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_certifying_pass_neither_projects_nor_sorts(self, monkeypatch, d):
+        ps = PointSet(np.random.default_rng(62).normal(size=(300, d)))
+        w = WeightFn(np.ones(300))
+        cfg = RunConfig(alpha=0.2)
+        v = approx_top_eigenpair(ps, w).direction
+        bound = eigenvalue_bound(0.2, cfg.big_c)
+        calls = []
+        project, argsort = ldme.multifilter.project, np.argsort
+        monkeypatch.setattr(
+            ldme.multifilter, "project", lambda *a: calls.append("project") or project(*a)
+        )
+        monkeypatch.setattr(
+            np, "argsort", lambda *a, **k: calls.append("argsort") or argsort(*a, **k)
+        )
+        out = basic_multifilter(ps, w, v, 0.2, cfg, _eigenvalue=bound)
+        assert out.tag == "certified" and calls == []
+        out = basic_multifilter(ps, w, v, 0.2, cfg, _eigenvalue=float(np.nextafter(bound, 1.0e9)))
+        assert out.tag == "certified" and calls == ["project", "argsort"]
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_out_of_range_alpha_is_refused_before_the_shortcut(self, alpha):
+        ps = PointSet(np.random.default_rng(63).normal(size=(50, 3)))
+        with pytest.raises(ValueError, match="alpha must be"):
+            basic_multifilter(ps, WeightFn(np.ones(50)), np.array([1.0, 0.0, 0.0]), alpha,
+                              RunConfig(alpha=0.2), _eigenvalue=0.0)

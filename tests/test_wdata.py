@@ -73,6 +73,26 @@ class TestPointSet:
         assert ps.points.tobytes() == want.tobytes()
         assert not ps.points.flags.writeable
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (BLOCK_ELEMENTS // 7 + 1, 7),  # one row past the first block
+            (3, BLOCK_ELEMENTS + 3),  # each block a single row
+            (100_000, 1),  # the scalar_junk shape
+        ],
+        ids=["past-a-block", "wide-rows", "100k-by-1"],
+    )
+    @pytest.mark.parametrize("scale", [2.5, 8.0])
+    def test_blocked_centering_has_the_whole_array_bits(self, shape, scale):
+        # A C-ordered float64 input is centered block by block into the one
+        # new array, with the bits of one whole-array subtract and multiply.
+        pts = np.random.default_rng(11).normal(size=shape) * 100.0 + 1e4
+        mean = np.full(shape[0], 1.0 / shape[0]) @ pts
+        ps = PointSet._centered(pts, scale)
+        assert ps.center.tobytes() == mean.tobytes()
+        assert ps.points.tobytes() == ((pts - mean) * (1.0 / scale)).tobytes()
+        assert not np.shares_memory(ps.points, pts)
+
     @pytest.mark.parametrize("scale", [1.0, 2.5])
     def test_fortran_ordered_input_is_stored_row_major(self, scale):
         # Row gathers and per-row reductions read the copy row by row.
@@ -344,8 +364,9 @@ class TestWeightedCov:
     def test_root_product_matches_the_blocked_kernel(self, name):
         ps = preprocess_rescale(root_set(name), RunConfig(alpha=0.2))
         assert ps.center is not None
-        ones = np.ones(ps.n)
-        got = _weighted_cov(ps, WeightFn(ones))
+        ones = WeightFn(np.ones(ps.n))
+        got = _weighted_cov(ps, ones, weighted_mean(ps, ones))
+        ones = ones.weights
         want = blocked_centered_cov(ps.points, ones, BLOCK_ELEMENTS // ps.d)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         np.testing.assert_allclose(got, dense_weighted_cov(ps.points, ones), rtol=1e-9, atol=1e-12)
@@ -362,7 +383,7 @@ class TestWeightedCov:
         if not unit:
             cases.append((centered, wts))
         for ps, w in cases:
-            got = _weighted_cov(ps, WeightFn(w))
+            got = _weighted_cov(ps, WeightFn(w), weighted_mean(ps, WeightFn(w)))
             want = blocked_centered_cov(ps.points, w, BLOCK_ELEMENTS // ps.d)
             assert got.tobytes() == want.tobytes()
 
