@@ -33,7 +33,7 @@ def show(name, values):
     t, r = 0.5 * (a + b), 0.5 * (b - a)
     tv = truncated_variance(values, w, (t - 2.0 * r, t + 2.0 * r))
     fv = weighted_variance(values, w)
-    out = basic_multifilter(lift(values), w, e1, cfg.alpha, cfg)
+    out = basic_multifilter(lift(values), w, e1, cfg)
     print(f"{name}:")
     print(f"  quantile interval [{a:8.2f}, {b:8.2f}]")
     print(f"  variance: windowed {tv:10.2f}   full {fv:10.2f}")

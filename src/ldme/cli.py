@@ -33,7 +33,8 @@ EXIT_IO = 4
 
 
 # Config fields taken as flags, field: (type, help). estimate and
-# experiment take the RunConfig ones, synth the InstanceSpec ones.
+# experiment take the RunConfig ones, synth the InstanceSpec ones, reduce
+# the ReduceConfig ones. A flag not given leaves the field's default.
 RUN_FLAGS = {
     "alpha": (float, "assumed inlier fraction"),
     "sigma": (float, "inlier covariance scale"),
@@ -47,6 +48,9 @@ SYNTH_FLAGS = {
     "separation": (float, None), "noise_radius": (float, None), "outlier_file": (str, None),
     "mean_radius": (float, None), "seed": (int, None),
 }
+REDUCE_FLAGS = {"sep_const": (float, None), "sigma_scale": (float, None)}
+# estimate's sigma_scale is its run's rescale factor.
+ESTIMATE_REDUCE_FLAGS = {"sep_const": REDUCE_FLAGS["sep_const"]}
 
 
 def _add_flags(parser: argparse.ArgumentParser, table: dict) -> None:
@@ -70,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True, help="points file (CSV or LDME binary)")
     _add_flags(est, RUN_FLAGS)
     est.add_argument("--out", help="write hypotheses JSON here (default stdout)")
-    est.add_argument("--sep-const", type=float, dest="sep_const", default=8.0)
+    _add_flags(est, ESTIMATE_REDUCE_FLAGS)
     est.add_argument("--no-reduce", action="store_true", help="skip list reduction")
 
     syn = sub.add_parser("synth", help="generate a synthetic instance")
@@ -89,8 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     red = sub.add_parser("reduce", help="reduce a hypothesis list")
     red.add_argument("--input", required=True, help="hypotheses JSON")
     red.add_argument("--alpha", type=float, required=True)
-    red.add_argument("--sep-const", type=float, dest="sep_const", default=8.0)
-    red.add_argument("--sigma-scale", type=float, dest="sigma_scale", default=1.0)
+    _add_flags(red, REDUCE_FLAGS)
     red.add_argument("--out", help="write reduced JSON here (default stdout)")
     return parser
 
@@ -99,12 +102,12 @@ def _cmd_estimate(args) -> int:
     points = load_points(args.input)
     if args.alpha is None:
         raise ConfigError("alpha: required (flag or config)")
-    cfg = RunConfig(**_given(args, RUN_FLAGS))
+    cfg = RunConfig(**_given(args, RUN_FLAGS), trace=False)
     hyps, _ = list_decode_mean(points, cfg)
     payload: dict = {"alpha": cfg.alpha, "vectors": hyps.vectors.tolist()}
     if not args.no_reduce:
         rc = ReduceConfig(
-            alpha=cfg.alpha, sep_const=args.sep_const, sigma_scale=cfg.rescale_factor
+            cfg.alpha, sigma_scale=cfg.rescale_factor, **_given(args, ESTIMATE_REDUCE_FLAGS)
         )
         payload["reduced"] = reduce_list(hyps, rc).vectors.tolist()
         payload["reduction_radius"] = rc.radius
@@ -147,9 +150,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_reduce(args) -> int:
     vectors = load_hypotheses_json(args.input)
-    rc = ReduceConfig(
-        alpha=args.alpha, sep_const=args.sep_const, sigma_scale=args.sigma_scale
-    )
+    rc = ReduceConfig(args.alpha, **_given(args, REDUCE_FLAGS))
     reduced = reduce_list(HypothesisList(vectors), rc)
     write_json({"vectors": reduced.vectors.tolist(), "radius": rc.radius}, args.out)
     return EXIT_OK

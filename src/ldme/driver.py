@@ -30,13 +30,17 @@ class BranchState:
     weights one positive weight per row; rows=None stands for every row, as
     at the root. Past the root the rows ascend along the parent's direction:
     a slice, a run read as a view, below every pass that did not sort (so
-    always in 1-D, where the column ascends), else an index array.
+    always in 1-D, where the column ascends), else an index array. lineage
+    holds the tags of the passes from the root down; depth is its length.
     """
 
     weights: WeightFn
-    depth: int
     lineage: tuple[str, ...]
     rows: np.ndarray | slice | None = None
+
+    @property
+    def depth(self) -> int:
+        return len(self.lineage)
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,9 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
 
     The pass runs on the rows of ps at branch.rows: a view of a run, else
     gathered (the root, with rows=None, uses ps as it is), so it scales with
-    |supp|, not n. A branch built by a caller with rows=None and some zero
-    weights first drops those rows. The filter sorts the projections unless
-    they ascend (always so in 1-D), and the children keep that order: each
+    |supp|, not n. A zero weight (the driver builds none) goes to the pass
+    like an underflowed one. The filter sorts the projections unless they
+    ascend (always so in 1-D), and the children keep that order: each
     carries its own support's rows and weights, as the filter found them.
 
     On a certified pass the weighted mean of the branch's support (in the
@@ -165,18 +169,13 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     mass >= alpha*n/2.
     """
     rows, w = branch.rows, branch.weights
-    if rows is None and not w.weights.min() > 0.0:
-        rows = np.flatnonzero(w.weights > 0.0)
-        w = WeightFn._own(w.weights[rows])
     if isinstance(rows, slice):
         sub_ps = PointSet._over(ps.points[rows])
     else:
         sub_ps = ps if rows is None else ps.restrict(rows)
     eig = approx_top_eigenpair(sub_ps, w)
     try:
-        outcome = basic_multifilter(
-            sub_ps, w, eig.direction, cfg.alpha, cfg, _eigenvalue=eig.value
-        )
+        outcome = basic_multifilter(sub_ps, w, eig.direction, cfg, _eigenvalue=eig.value)
     except InfeasibleSplit as err:
         err.details["lineage"] = branch.lineage
         err.details["depth"] = branch.depth
@@ -187,7 +186,7 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
     floor = cfg.alpha * ps.n / 2.0
     lineage = branch.lineage + (outcome.tag,)
     children = [
-        BranchState(wf, branch.depth + 1, lineage, _child_rows(rows, at))
+        BranchState(wf, lineage, _child_rows(rows, at))
         for wf, at in zip(outcome.children, outcome.rows)
     ]
     kept = tuple(child for child in children if child.weights.total >= floor)
@@ -285,7 +284,7 @@ def list_decode_mean(
     trace: list[TraceEvent] = []
     hypotheses: list[np.ndarray] = []
 
-    root = BranchState(weights=WeightFn(np.ones(n)), depth=0, lineage=())
+    root = BranchState(weights=WeightFn(np.ones(n)), lineage=())
     queue: deque[tuple[int, int, BranchState]] = deque([(0, -1, root)])
     next_id = 1
     passes = 0

@@ -60,6 +60,8 @@ def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict
         alpha=run_cfg.alpha, sigma_scale=run_cfg.rescale_factor,
     )
     output = dict(cfg.get("output", {}))
+    if output.get("trace") and not run_cfg.trace:
+        raise ConfigError("output.trace: run.trace is false, so no trace is recorded")
     return spec, run_cfg, red_cfg, output
 
 
@@ -75,16 +77,13 @@ def _config_echo(spec: InstanceSpec, run_cfg: RunConfig, red_cfg: ReduceConfig) 
     }
 
 
-def run_experiment(
-    config: dict | str | Path, outliers: np.ndarray | None = None
-) -> Report:
-    """Generate, estimate, reduce, evaluate; write any requested files.
+def run_experiment(config: dict, outliers: np.ndarray | None = None) -> Report:
+    """Generate, estimate, reduce, evaluate a config dict; write its files.
 
     outliers, when given, are the file adversary's rows already read (see
     load_outliers); gen_instance reads the file otherwise.
     """
-    cfg = load_config(config) if isinstance(config, (str, Path)) else config
-    spec, run_cfg, red_cfg, output = parse_config(cfg)
+    spec, run_cfg, red_cfg, output = parse_config(config)
 
     start = time.perf_counter()
     points, mask, true_mean = gen_instance(spec, outliers)
@@ -132,29 +131,26 @@ def _worker_count() -> int:
     return max(1, count)
 
 
-def run_sweep(config: dict | str | Path, seeds=None) -> list[Report]:
-    """Run one experiment per seed; worker count capped by LDME_THREADS.
+def run_sweep(config: dict) -> list[Report]:
+    """Run one experiment per seed of config["seeds"] (one run of config as
+    it is when there are none); worker count capped by LDME_THREADS.
 
-    The file adversary's outlier file is read once, before the fan-out, and
-    every seed gets the same read-only rows.
+    The whole config is checked, and the file adversary's outlier file
+    read, once before the fan-out; every seed gets the same read-only rows.
     """
-    if isinstance(config, (str, Path)):
-        cfg = load_config(config)
-    else:
-        cfg = check_sections(dict(config))
-    seeds = list(seeds if seeds is not None else cfg.get("seeds", []))
+    spec = parse_config(config)[0]
+    seeds = config.get("seeds", [])
     if not seeds:
-        return [run_experiment(cfg)]
+        return [run_experiment(config)]
     workers = _worker_count()
     # Seeds differ only in their seed fields and output paths, so every
     # seed's instance needs the same outlier rows (none when n_out is 0).
-    spec = parse_config(cfg)[0]
     outliers = None
     if spec.adversary == "file" and spec.n_inliers < spec.n:
         outliers = load_outliers(spec)
 
     def one(seed: int) -> Report:
-        sub = json.loads(json.dumps({k: v for k, v in cfg.items() if k != "seeds"}))
+        sub = json.loads(json.dumps({k: v for k, v in config.items() if k != "seeds"}))
         sub.setdefault("instance", {})["seed"] = int(seed)
         sub.setdefault("run", {})["seed"] = int(seed)
         out = sub.get("output", {})

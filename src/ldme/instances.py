@@ -9,7 +9,6 @@ The adversary fills the remaining (1 - alpha) fraction.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,10 @@ class InstanceSpec:
         if self.adversary == "file" and not self.outlier_file:
             raise ConfigError("outlier_file: required for the file adversary")
         if self.true_mean is not None:
-            tm = np.asarray(self.true_mean, dtype=np.float64)
+            try:
+                tm = np.asarray(self.true_mean, dtype=np.float64)
+            except ValueError as err:
+                raise ConfigError(f"true_mean: not numbers: {self.true_mean!r}") from err
             if tm.shape != (self.d,):
                 raise ConfigError(
                     f"true_mean: has shape {tm.shape}, expected ({self.d},)"
@@ -103,17 +105,9 @@ class InstanceSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "InstanceSpec":
-        """Build from a JSON-style dict; accepts "random_sphere(r)" means."""
-        data = dict(raw)
-        mean = data.pop("true_mean", None)
-        if isinstance(mean, str):
-            match = re.fullmatch(r"random_sphere\(([^)]*)\)", mean.strip())
-            if not match:
-                raise ConfigError(f"true_mean: cannot parse {mean!r}")
-            data["mean_radius"] = float(match.group(1))
-        elif mean is not None:
-            data["true_mean"] = np.asarray(mean, dtype=np.float64)
-        return from_section(cls, data, "instance")
+        """Build from a JSON-style dict. true_mean, if given, is a list of d
+        numbers; a mean drawn on a sphere is asked for by mean_radius."""
+        return from_section(cls, raw, "instance")
 
 
 def _unit_shapes(model: str, dof: float, count: int, d: int, rng) -> np.ndarray:

@@ -462,11 +462,10 @@ def basic_multifilter(
     ps: PointSet,
     w: WeightFn,
     v: np.ndarray,
-    alpha: float,
     cfg: RunConfig,
     *, _eigenvalue: float | None = None,
 ) -> MultifilterOutcome:
-    """Run one filtering pass along the unit direction v.
+    """Run one filtering pass along the unit direction v, at alpha = cfg.alpha.
 
     Computes the central quantile interval I; when the variance truncated to
     the doubled interval is at most gate = big_c * lg(2/alpha)^2, either
@@ -495,7 +494,8 @@ def basic_multifilter(
             just-the-wrong separations; the branch must be aborted rather
             than silently degrade the guarantees.
     """
-    lg = np.log2(2.0 / alpha) if 0.0 < alpha < 2.0 else np.nan  # refused below
+    alpha = cfg.alpha
+    lg = np.log2(2.0 / alpha)
     gate = cfg.big_c * lg * lg
     if _eigenvalue is not None and _eigenvalue <= (1.0 - alpha / 4.0) * EIGEN_SLACK * gate:
         return MultifilterOutcome("certified")

@@ -91,7 +91,7 @@ class TestRescale:
 
 
 def branch_of(n):
-    return BranchState(weights=WeightFn(np.ones(n)), depth=0, lineage=())
+    return BranchState(weights=WeightFn(np.ones(n)), lineage=())
 
 
 class TestMainSubroutine:
@@ -400,9 +400,7 @@ class TestSupportLocalPass:
         for branch in sparse:
             res = main_subroutine(ps, branch, cfg)
             weights = scatter(branch.weights, branch.rows, ps.n)
-            full = basic_multifilter(
-                ps, WeightFn(weights), res.eigenpair.direction, cfg.alpha, cfg
-            )
+            full = basic_multifilter(ps, WeightFn(weights), res.eigenpair.direction, cfg)
             tags.add(res.outcome.tag)
             assert res.outcome.tag == full.tag
             assert res.outcome.split_params == full.split_params
@@ -471,7 +469,7 @@ class TestSupportLocalPass:
         cfg = RunConfig(alpha=0.25)
         ps = preprocess_rescale(np.vstack([pts, pts + 1e4]), cfg)
         branch = BranchState(
-            weights=WeightFn(np.r_[np.ones(400), np.zeros(400)]), depth=0, lineage=()
+            weights=WeightFn(np.r_[np.ones(400), np.zeros(400)]), lineage=()
         )
         with pytest.raises(InfeasibleSplit) as exc:
             main_subroutine(ps, branch, cfg)

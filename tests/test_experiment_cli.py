@@ -10,6 +10,7 @@ import ldme.instances
 from ldme import (
     InfeasibleSplit,
     InstanceSpec,
+    ReduceConfig,
     RunConfig,
     gen_instance,
     load_points,
@@ -90,7 +91,7 @@ class TestRunExperiment:
         monkeypatch.setenv("LDME_THREADS", "2")
         cfg = smoke_config(tmp_path)
         cfg["instance"]["n"] = 120
-        reports = run_sweep(cfg, seeds=[1, 2, 3])
+        reports = run_sweep(dict(cfg, seeds=[1, 2, 3]))
         assert len(reports) == 3
         seeds = [r.config["instance"]["seed"] for r in reports]
         assert seeds == [1, 2, 3]
@@ -106,7 +107,7 @@ class TestRunExperiment:
         monkeypatch.setenv("LDME_THREADS", "many")
         cfg = smoke_config(tmp_path)
         with pytest.raises(ConfigError, match="LDME_THREADS"):
-            run_sweep(cfg, seeds=[1, 2])
+            run_sweep(dict(cfg, seeds=[1, 2]))
 
 
 class TestFileSweep:
@@ -220,7 +221,7 @@ class TestCli:
             "instance": {
                 "n": 400, "d": 8, "alpha": 0.25,
                 "adversary": "uniform_noise", "noise_radius": 300.0,
-                "true_mean": "random_sphere(5.0)", "seed": 2,
+                "mean_radius": 5.0, "seed": 2,
             }
         }
         path = tmp_path / "flat.json"
@@ -308,6 +309,40 @@ class TestCli:
         assert main(["synth", "--out", str(a)] + args) == 0
         assert main(["synth", "--out", str(b)] + args) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("sep_flags, share", [([], 1.0), (["--sep-const", "4"], 0.5)])
+    def test_reduction_radius_defaults_to_reduce_config(self, tmp_path, sep_flags, share):
+        pts, hyps, red = tmp_path / "pts.csv", tmp_path / "h.json", tmp_path / "r.json"
+        synth = ["--n", "60", "--d", "3", "--alpha", "0.3", "--seed", "2"]
+        assert main(["synth", "--out", str(pts)] + synth) == 0
+        estimate = ["--input", str(pts), "--alpha", "0.3", "--out", str(hyps)]
+        assert main(["estimate"] + estimate + sep_flags) == 0
+        reduce = ["--input", str(hyps), "--alpha", "0.3", "--out", str(red)]
+        assert main(["reduce"] + reduce + sep_flags) == 0
+        scale = RunConfig(alpha=0.3).rescale_factor
+        radius = ReduceConfig(0.3, sigma_scale=scale).radius
+        assert json.loads(hyps.read_text())["reduction_radius"] == share * radius
+        assert json.loads(red.read_text())["radius"] == share * ReduceConfig(0.3).radius
+
+    @pytest.mark.parametrize(
+        "seeds, flags", [(None, []), (None, ["--trace"]), ([1, 2], [])],
+        ids=["config", "flag", "sweep"],
+    )
+    def test_trace_file_without_run_trace_exits_2(self, tmp_path, capsys, seeds, flags):
+        # A run that records no trace would leave a header-only trace file.
+        cfg = smoke_config(tmp_path, report="report.json", hypotheses="hyps.json")
+        cfg["run"]["trace"] = False
+        if seeds:
+            cfg["seeds"] = seeds
+        if flags:
+            flags = flags + [str(tmp_path / "trace.csv")]
+        else:
+            cfg["output"]["trace"] = str(tmp_path / "trace.csv")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)] + flags) == 2
+        assert "config error: output.trace" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("section, field", [("run", "big_c"), ("reduce", "sep_const")])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, section, field):

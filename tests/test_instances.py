@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from ldme import ConfigError, InstanceSpec, gen_instance, save_points_csv
+from ldme.cli import main
 from ldme.instances import load_outliers
 
 
@@ -27,13 +29,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="outlier_file"):
             InstanceSpec(n=10, d=2, alpha=0.3, adversary="file")
 
-    def test_from_dict_random_sphere(self):
-        spec = InstanceSpec.from_dict(
-            {"n": 10, "d": 3, "alpha": 0.3, "true_mean": "random_sphere(7.5)"}
-        )
-        assert spec.mean_radius == 7.5
+    @pytest.mark.parametrize("mean", ["random_sphere(7.5)", "huh"])
+    def test_from_dict_refuses_a_string_mean(self, tmp_path, capsys, mean):
+        # A mean on a sphere is asked for by mean_radius, not by a string.
+        raw = {"n": 10, "d": 3, "alpha": 0.3, "true_mean": mean}
         with pytest.raises(ConfigError, match="true_mean"):
-            InstanceSpec.from_dict({"n": 10, "d": 3, "alpha": 0.3, "true_mean": "huh"})
+            InstanceSpec.from_dict(raw)
+        path, out = tmp_path / "spec.json", tmp_path / "pts.csv"
+        path.write_text(json.dumps({"instance": raw}))
+        assert main(["synth", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: true_mean" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_from_dict_unknown_field(self):
         with pytest.raises(ConfigError, match="bogus"):

@@ -258,8 +258,8 @@ class TestSoftDownweight:
 def run_multifilter_1d(values, weights, alpha, big_c=20.0):
     """One pass along e1, its support-local children scattered to full length."""
     ps = embed_1d(values)
-    cfg = RunConfig(alpha=min(alpha, 0.49), big_c=big_c)
-    out = basic_multifilter(ps, WeightFn(weights), E1, alpha, cfg)
+    cfg = RunConfig(alpha=alpha, big_c=big_c)
+    out = basic_multifilter(ps, WeightFn(weights), E1, cfg)
     children = tuple(
         WeightFn(scatter(wf, rows, ps.n)) for wf, rows in zip(out.children, out.rows)
     )
@@ -286,7 +286,7 @@ class TestBasicMultifilter:
     def test_far_small_mass_reweighted(self):
         rng = np.random.default_rng(24)
         vals = np.concatenate([rng.uniform(-0.01, 0.01, 96), np.full(4, 1e4)])
-        out, _ = run_multifilter_1d(vals, np.ones(100), 0.8)
+        out, _ = run_multifilter_1d(vals, np.ones(100), 0.4)
         assert out.tag == "reweighted"
         (w_new,) = out.children
         far = w_new.weights[96:]
@@ -445,7 +445,7 @@ class TestSharedSortOrder:
             alpha = 0.2
         else:
             vals = np.concatenate([rng.uniform(-0.01, 0.01, 96), np.full(4, 1e4)])
-            alpha = 0.8
+            alpha = 0.4
         sorts = 0
         argsort = np.argsort
 
@@ -483,7 +483,7 @@ class TestSortedKernel:
                 if presorted:
                     order = np.argsort(vals)
                     vals, wts = vals[order], wts[order]
-                out = basic_multifilter(embed_1d(vals), WeightFn(wts), E1, 0.2, cfg)
+                out = basic_multifilter(embed_1d(vals), WeightFn(wts), E1, cfg)
                 assert out.tag == "reweighted"
                 (new,), (rows,) = out.children, out.rows
                 assert isinstance(rows, slice) == presorted
@@ -523,7 +523,7 @@ class TestSortedKernel:
         monkeypatch.setattr(WeightFn, "_adopt", counted)
         monkeypatch.setattr(np, "argsort", refused)
         monkeypatch.setattr(np, "arange", refused)
-        out = basic_multifilter(ps, w, E1, 0.2, RunConfig(alpha=0.2))
+        out = basic_multifilter(ps, w, E1, RunConfig(alpha=0.2))
         assert out.tag == "reweighted" and checks == 1
 
     @pytest.mark.parametrize("tag", ["reweighted", "split"])
@@ -543,13 +543,13 @@ class TestSortedKernel:
         ps = PointSet(np.outer(t, u))
         perm = rng.permutation(len(t))
         cfg = RunConfig(alpha=0.2)
-        shuffled = basic_multifilter(PointSet(ps.points[perm]), WeightFn(wts[perm]), u, 0.2, cfg)
+        shuffled = basic_multifilter(PointSet(ps.points[perm]), WeightFn(wts[perm]), u, cfg)
 
         def refused(*args, **kwargs):
             raise AssertionError("ascending projections need no sort")
 
         monkeypatch.setattr(np, "argsort", refused)
-        out = basic_multifilter(ps, WeightFn(wts), u, 0.2, cfg)
+        out = basic_multifilter(ps, WeightFn(wts), u, cfg)
         assert out.tag == shuffled.tag == tag
         assert len(out.children) == len(shuffled.children)
         for new, rows, new_s, rows_s in zip(
@@ -664,9 +664,9 @@ class TestEigenvalueCertificate:
             cfg = RunConfig(alpha=alpha)
             ps, w = _near_bound_pass(rng, d, alpha, cfg.big_c)
             eig = approx_top_eigenpair(ps, w)
-            full = _tag(lambda: basic_multifilter(ps, w, eig.direction, alpha, cfg))
+            full = _tag(lambda: basic_multifilter(ps, w, eig.direction, cfg))
             fast = _tag(lambda: basic_multifilter(
-                ps, w, eig.direction, alpha, cfg, _eigenvalue=eig.value
+                ps, w, eig.direction, cfg, _eigenvalue=eig.value
             ))
             if eig.value <= eigenvalue_bound(alpha, cfg.big_c):
                 fired += 1
@@ -691,14 +691,7 @@ class TestEigenvalueCertificate:
         monkeypatch.setattr(
             np, "argsort", lambda *a, **k: calls.append("argsort") or argsort(*a, **k)
         )
-        out = basic_multifilter(ps, w, v, 0.2, cfg, _eigenvalue=bound)
+        out = basic_multifilter(ps, w, v, cfg, _eigenvalue=bound)
         assert out.tag == "certified" and calls == []
-        out = basic_multifilter(ps, w, v, 0.2, cfg, _eigenvalue=float(np.nextafter(bound, 1.0e9)))
+        out = basic_multifilter(ps, w, v, cfg, _eigenvalue=float(np.nextafter(bound, 1.0e9)))
         assert out.tag == "certified" and calls == ["project", "argsort"]
-
-    @pytest.mark.parametrize("alpha", [0.0, 2.0])
-    def test_out_of_range_alpha_is_refused_before_the_shortcut(self, alpha):
-        ps = PointSet(np.random.default_rng(63).normal(size=(50, 3)))
-        with pytest.raises(ValueError, match="alpha must be"):
-            basic_multifilter(ps, WeightFn(np.ones(50)), np.array([1.0, 0.0, 0.0]), alpha,
-                              RunConfig(alpha=0.2), _eigenvalue=0.0)

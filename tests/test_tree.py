@@ -7,7 +7,11 @@ and check the tree's shape on small drawn instances.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,41 @@ def test_trace_and_report_bytes_are_pinned(name, tmp_path):
     report = pinned_report(instance, junk)
     got.append(_sha(report_bytes(report)))
     assert tuple(got) == want
+
+
+# perfbench's library workloads at shrink=8, seed 6271, input 0: the sha256
+# of each one's fingerprint, every bit of its hypotheses and reduced list.
+# They run in a child with BLAS on one thread, as perfbench runs them: the
+# 1-D weighted sums are BLAS dot products, which round differently when
+# split over threads. Like the pins above, they hold for numpy 2.4 on x86-64.
+WORKLOAD_DIGESTS = {
+    "decoys_wide": "a68db9d0d845140292f1e7359b42041dd094202333c117b2bc094aa82e4b2d18",
+    "line_deep": "eddd42c16317a9a014b173afca916c3b42d7792e3b963d7c75d8a9dcfd65b497",
+    "scalar_junk": "a582fa82f283374f0459c7ad630d05be368c910681d4099023afe8bfe61e77e6",
+}
+ROOT = Path(__file__).resolve().parents[1]
+FINGERPRINT = """
+import hashlib, sys
+from pathlib import Path
+from perfbench.workloads import fingerprint, make_workload
+wl = make_workload(sys.argv[1], shrink=8)
+wl.prepare(6271, Path.cwd())
+print(hashlib.sha256(fingerprint(wl.run(wl.make_input(0)))).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_answers_are_pinned(name, tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", FINGERPRINT, name],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == WORKLOAD_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
