@@ -32,16 +32,15 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
-# Config fields taken as flags, field: (type, help). estimate and
-# experiment take the RunConfig ones, synth the InstanceSpec ones, reduce
-# the ReduceConfig ones. A flag not given leaves the field's default.
+# Config fields taken as flags, field: (type, help). estimate takes the
+# RunConfig ones (experiment adds the seed), synth the InstanceSpec ones,
+# reduce the ReduceConfig ones. A flag not given leaves the field's default.
 RUN_FLAGS = {
     "alpha": (float, "assumed inlier fraction"),
     "sigma": (float, "inlier covariance scale"),
-    "scale_c": (float, None),
     "big_c": (float, None),
-    "seed": (int, None),
 }
+EXPERIMENT_FLAGS = {**RUN_FLAGS, "seed": (int, None)}
 SYNTH_FLAGS = {
     "n": (int, None), "d": (int, None), "alpha": (float, None), "sigma": (float, None),
     "inlier_model": (str, None), "adversary": (str, None), "decoys": (int, None),
@@ -86,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a config-driven experiment")
     exp.add_argument("--config", required=True)
-    _add_flags(exp, RUN_FLAGS)
+    _add_flags(exp, EXPERIMENT_FLAGS)
     exp.add_argument("--out", help="override the report path")
     exp.add_argument("--trace", help="override the trace CSV path")
 
@@ -133,9 +132,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
-    for key, val in _given(args, RUN_FLAGS).items():
-        cfg.setdefault("run", {})[key] = val
-        if key in ("alpha", "sigma", "seed"):
+    # The instance's seed is the run's; big_c is the run's alone.
+    for key, val in _given(args, EXPERIMENT_FLAGS).items():
+        if key != "seed":
+            cfg.setdefault("run", {})[key] = val
+        if key != "big_c":
             cfg.setdefault("instance", {})[key] = val
     if args.out:
         cfg.setdefault("output", {})["report"] = args.out

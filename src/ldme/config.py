@@ -1,21 +1,44 @@
-"""Run-wide configuration and configuration errors."""
+"""Run-wide configuration, shared validity rules and configuration errors."""
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
 
+SCALE_C = 2.0
+
 
 class ConfigError(ValueError):
     """Raised when a configuration value is missing or out of range."""
 
 
-def from_section(cls, raw: dict, name: str, **defaults):
-    """cls built from one config section over defaults: an unknown field or
-    a value of the wrong type (a TypeError from cls) is a ConfigError."""
-    unknown = set(raw) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown {name} field")
+def check_alpha(alpha: float) -> None:
+    """Refuse an assumed inlier fraction outside (0, 1/2)."""
+    if not 0.0 < alpha < 0.5:
+        raise ConfigError(f"alpha: must be in (0, 1/2), got {alpha}")
+
+
+def check_int(name: str, value, low: int = 0) -> None:
+    """Refuse all but an integer >= low; numpy integers pass, bool does not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{name}: must be an integer >= {low}, got {value!r}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Refuse a value that is not > 0, such as nan."""
+    if not value > 0.0:
+        raise ConfigError(f"{name}: must be positive, got {value}")
+
+
+def from_section(cls, raw: dict, name: str, fixed: tuple = (), **defaults):
+    """cls built from one config section over defaults. A field named in
+    fixed, whose default another section sets, or an unknown field in raw,
+    or a value of the wrong type (a TypeError from cls), is a ConfigError."""
+    for key in sorted(raw):
+        if key in fixed:
+            raise ConfigError(f"{key}: set by another section, not by {name}")
+        if key not in cls.__dataclass_fields__:
+            raise ConfigError(f"{key}: unknown {name} field")
     try:
         return cls(**{**defaults, **raw})
     except TypeError as err:
@@ -28,38 +51,29 @@ class RunConfig:
 
     Attributes:
         alpha: assumed inlier fraction, in (0, 1/2).
-        sigma: known covariance scale of the inliers (Cov <= sigma^2 I).
-        scale_c: extra rescale constant, >= 1; points are divided by
-            scale_c * sigma before filtering.
+        sigma: known covariance scale of the inliers (Cov <= sigma^2 I);
+            points are divided by SCALE_C * sigma before filtering.
         big_c: variance-threshold constant of the filtering rule.
-        seed: seed of the run, recorded with it and passed on by experiment
-            configs; the estimator draws no random numbers, so its answer
-            does not depend on the seed.
+        seed: seed of the run, recorded with it; experiment configs set it
+            from the instance's seed. The estimator draws no random
+            numbers, so its answer does not depend on the seed.
         trace: whether list_decode_mean records per-iteration trace events.
     """
 
     alpha: float
     sigma: float = 1.0
-    scale_c: float = 2.0
     big_c: float = 20.0
     seed: int = 0
     trace: bool = True
 
     def __post_init__(self) -> None:
-        # numbers.Integral takes numpy integers too, and bool, refused here.
-        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
-            raise TypeError(f"seed: must be an integer, got {self.seed!r}")
+        check_int("seed", self.seed)
         if not isinstance(self.trace, bool):
             raise TypeError(f"trace: must be true or false, got {self.trace!r}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha: must be in (0, 1/2), got {self.alpha}")
-        if not self.sigma > 0.0:
-            raise ConfigError(f"sigma: must be positive, got {self.sigma}")
-        if not self.scale_c >= 1.0:
-            raise ConfigError(f"scale_c: must be >= 1, got {self.scale_c}")
-        if not self.big_c > 0.0:
-            raise ConfigError(f"big_c: must be positive, got {self.big_c}")
+        check_alpha(self.alpha)
+        check_positive("sigma", self.sigma)
+        check_positive("big_c", self.big_c)
 
     @property
     def rescale_factor(self) -> float:
-        return self.scale_c * self.sigma
+        return SCALE_C * self.sigma

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,14 +43,13 @@ class BranchState:
         return len(self.lineage)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One row of the trace, derived from a DriverStep.
+class TraceEvent(NamedTuple):
+    """One row of the trace CSV, its fields the columns, from a DriverStep.
 
     One event per certified exit and one per produced child (including
     pruned ones). branch_id names the resulting branch; for certified exits
-    it names the branch itself. The inlier-mass columns ws_before/ws_after
-    are None when no inlier mask was supplied.
+    it names the branch itself. wT_* is the branch's total weight and wS_*
+    its weight on the inliers, None when no inlier mask was supplied.
     """
 
     branch_id: int
@@ -58,10 +57,10 @@ class TraceEvent:
     depth: int
     tag: str
     lambda_star: float
-    wt_before: float
-    wt_after: float
-    ws_before: float | None = None
-    ws_after: float | None = None
+    wT_before: float
+    wT_after: float
+    wS_before: float | None = None
+    wS_after: float | None = None
 
 
 class HypothesisList:
@@ -122,7 +121,7 @@ class DriverStep:
 
 def preprocess_rescale(points, cfg: RunConfig) -> PointSet:
     """The points centered on their column mean, then divided by
-    scale_c * sigma (RunConfig checks sigma > 0).
+    SCALE_C * sigma (RunConfig checks sigma > 0).
 
     The set's center holds that mean, in the input's coordinates. Working
     relative to it keeps later rounding at the scale of the sample's spread,
@@ -149,7 +148,7 @@ def _rescaled(points, cfg: RunConfig, inlier_mask=None) -> tuple[PointSet, np.nd
 def postprocess_unscale(
     hyps: HypothesisList, cfg: RunConfig, center: np.ndarray
 ) -> HypothesisList:
-    """Multiply hypotheses back by scale_c * sigma and add the center back."""
+    """Multiply hypotheses back by SCALE_C * sigma and add the center back."""
     return HypothesisList(hyps.vectors * cfg.rescale_factor + center)
 
 
@@ -221,7 +220,7 @@ def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]
     ones under "pruned", each named by the child's id.
     """
     res, parent = step.result, step.branch
-    lam, ws_before = res.eigenpair.value, _inlier_mass(parent, mask)
+    lam, wS_before = res.eigenpair.value, _inlier_mass(parent, mask)
     # Each event: its branch id, its parent id, tag, the branch after.
     if res.hypothesis is not None:
         events = [(step.branch_id, step.parent_id, "certified", parent)]
@@ -231,7 +230,7 @@ def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]
         events = zip(ids, repeat(step.branch_id), tags, res.children + res.pruned)
     return [
         TraceEvent(bid, pid, parent.depth, tag, lam, parent.weights.total,
-                   after.weights.total, ws_before, _inlier_mass(after, mask))
+                   after.weights.total, wS_before, _inlier_mass(after, mask))
         for bid, pid, tag, after in events
     ]
 
@@ -257,7 +256,7 @@ def list_decode_mean(
 ) -> tuple[HypothesisList, list[TraceEvent]]:
     """Estimate candidate means from a sample with a majority of outliers.
 
-    Centers the input on its column mean and rescales it by scale_c *
+    Centers the input on its column mean and rescales it by SCALE_C *
     sigma, runs the FIFO worklist to exhaustion starting from all-ones
     weights, and returns every certified weighted mean mapped back to the
     input coordinates. The output list has at most 4/alpha^2 entries.

@@ -2,10 +2,10 @@
 
 A config is one JSON object with sections:
     instance: InstanceSpec fields (n, d, alpha, adversary, seed, ...)
-    run:      RunConfig overrides (alpha/sigma/seed default from instance)
-    reduce:   sep_const / sigma_scale overrides for list reduction
+    run:      alpha, sigma, big_c, trace (alpha, sigma default from instance)
+    reduce:   sep_const (alpha and sigma_scale come from run)
     output:   report / trace / hypotheses file paths (all optional)
-    seeds:    optional list of seeds to fan out over (LDME_THREADS workers)
+    seeds:    optional distinct seeds to fan out over (LDME_THREADS workers)
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, from_section
+from .config import ConfigError, RunConfig, check_int, from_section
 from .dataio import save_hypotheses_json, write_json
 from .driver import list_decode_mean
 from .instances import InstanceSpec, gen_instance, load_outliers
@@ -31,13 +31,24 @@ _SECTIONS = {"instance": dict, "run": dict, "reduce": dict, "output": dict, "see
 
 def check_sections(cfg) -> dict:
     """cfg, refused with a ConfigError unless it is a JSON object whose
-    sections are objects and whose seeds, if any, are a list."""
+    sections are objects, whose output values are paths (an empty one
+    writes no file) and whose seeds, if any, are distinct integers >= 0."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
     for key, kind in _SECTIONS.items():
         if not isinstance(cfg.get(key, kind()), kind):
             shape = "an object" if kind is dict else "a list"
             raise ConfigError(f"{key}: must be {shape}, got {cfg[key]!r}")
+    for key, path in cfg.get("output", {}).items():
+        if key not in ("report", "trace", "hypotheses"):
+            raise ConfigError(f"{key}: unknown output field")
+        if not isinstance(path, str):
+            raise ConfigError(f"output.{key}: must be a path, got {path!r}")
+    seeds = cfg.get("seeds", [])
+    for seed in seeds:
+        check_int("seeds", seed)
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds: must be distinct, got {seeds}")
     return cfg
 
 
@@ -52,11 +63,11 @@ def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict
         raise ConfigError("instance: section is required")
     spec = InstanceSpec.from_dict(cfg["instance"])
     run_cfg = from_section(
-        RunConfig, cfg.get("run", {}), "run",
+        RunConfig, cfg.get("run", {}), "run", ("seed",),
         alpha=spec.alpha, sigma=spec.sigma, seed=spec.seed,
     )
     red_cfg = from_section(
-        ReduceConfig, cfg.get("reduce", {}), "reduce",
+        ReduceConfig, cfg.get("reduce", {}), "reduce", ("alpha", "sigma_scale"),
         alpha=run_cfg.alpha, sigma_scale=run_cfg.rescale_factor,
     )
     output = dict(cfg.get("output", {}))
@@ -151,8 +162,7 @@ def run_sweep(config: dict) -> list[Report]:
 
     def one(seed: int) -> Report:
         sub = json.loads(json.dumps({k: v for k, v in config.items() if k != "seeds"}))
-        sub.setdefault("instance", {})["seed"] = int(seed)
-        sub.setdefault("run", {})["seed"] = int(seed)
+        sub.setdefault("instance", {})["seed"] = seed
         out = sub.get("output", {})
         for key, path in list(out.items()):
             if path:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, from_section
+from .config import ConfigError, check_alpha, check_int, check_positive, from_section
 from .dataio import load_points
 
 INLIER_MODELS = ("gaussian_identity", "heavy_tail_student_t", "bounded_uniform")
@@ -49,14 +49,11 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigError(f"n: must be a positive integer, got {self.n}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ConfigError(f"d: must be a positive integer, got {self.d}")
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha: must be in (0, 1/2), got {self.alpha}")
-        if not self.sigma > 0.0:
-            raise ConfigError(f"sigma: must be positive, got {self.sigma}")
+        check_int("n", self.n, low=1)
+        check_int("d", self.d, low=1)
+        check_int("seed", self.seed)
+        check_alpha(self.alpha)
+        check_positive("sigma", self.sigma)
         if self.inlier_model not in INLIER_MODELS:
             raise ConfigError(
                 f"inlier_model: unknown model {self.inlier_model!r}, "
@@ -73,15 +70,13 @@ class InstanceSpec:
                 f"expected one of {ADVERSARIES}"
             )
         if self.adversary in ("decoy_clusters", "line_clusters"):
-            if not isinstance(self.decoys, int) or self.decoys < 1:
-                raise ConfigError(f"decoys: must be a positive integer, got {self.decoys}")
+            check_int("decoys", self.decoys, low=1)
             if self.adversary == "decoy_clusters" and self.decoys > self.d:
                 raise ConfigError(
                     f"decoys: equidistant placement of {self.decoys} decoys "
                     f"needs d >= {self.decoys}, got d={self.d}"
                 )
-            if not self.separation > 0.0:
-                raise ConfigError(f"separation: must be positive, got {self.separation}")
+            check_positive("separation", self.separation)
         if self.adversary == "uniform_noise" and not self.noise_radius > 0.0:
             raise ConfigError(f"noise_radius: must be positive, got {self.noise_radius}")
         if self.adversary == "file" and not self.outlier_file:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import check_alpha, check_positive
 from .driver import HypothesisList
 
 
@@ -24,14 +24,9 @@ class ReduceConfig:
     sigma_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 2.0:
-            raise ConfigError(f"alpha: must be in (0, 2), got {self.alpha}")
-        if not self.sep_const > 0.0:
-            raise ConfigError(f"sep_const: must be positive, got {self.sep_const}")
-        if not self.sigma_scale > 0.0:
-            raise ConfigError(
-                f"sigma_scale: must be positive, got {self.sigma_scale}"
-            )
+        check_alpha(self.alpha)
+        check_positive("sep_const", self.sep_const)
+        check_positive("sigma_scale", self.sigma_scale)
 
     @property
     def radius(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, check_alpha
 from .wdata import PointSet, WeightFn, _variance, project, weighted_variance
 
 # Candidates per block of the split search: every temporary of the search is
@@ -76,8 +76,8 @@ def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float | None = No
         raise ValueError("projections and weights must have matching length")
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    if alpha is not None and not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must be in (0, 2), got {alpha}")
+    if alpha is not None:
+        check_alpha(alpha)
     return p
 
 

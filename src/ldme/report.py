@@ -4,27 +4,13 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
-from operator import attrgetter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .driver import DriverStep, HypothesisList, TraceEvent
 
-TRACE_COLUMNS = (
-    "branch_id",
-    "parent_id",
-    "depth",
-    "tag",
-    "lambda_star",
-    "wT_before",
-    "wT_after",
-    "wS_before",
-    "wS_after",
-)
-# A TraceEvent's fields as a plain tuple, in TRACE_COLUMNS order; unlike
-# dataclasses.astuple it copies nothing.
-_event_row = attrgetter(*(f.name for f in fields(TraceEvent)))
+TRACE_COLUMNS = TraceEvent._fields
 
 
 def evaluate(hyps: HypothesisList, true_mean) -> dict:
@@ -75,7 +61,7 @@ def write_trace_csv(path, events: list[TraceEvent]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        writer.writerows(map(_event_row, events))
+        writer.writerows(events)
 
 
 @dataclass

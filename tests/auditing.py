@@ -173,10 +173,10 @@ def nice_path_exists(trace, s_size: int, alpha: float) -> bool:
     certs = certified_ids(trace)
 
     def nice_edge(ev) -> bool:
-        ds = ev.ws_before - ev.ws_after
-        dt = ev.wt_before - ev.wt_after
-        lhs = ds * ev.wt_before * lg24
-        rhs = dt * ev.ws_before
+        ds = ev.wS_before - ev.wS_after
+        dt = ev.wT_before - ev.wT_after
+        lhs = ds * ev.wT_before * lg24
+        rhs = dt * ev.wS_before
         return lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
     def walk(node_id: int, ws_here: float) -> bool:
@@ -187,7 +187,7 @@ def nice_path_exists(trace, s_size: int, alpha: float) -> bool:
         for ev in kids.get(node_id, ()):
             if ev.tag == "pruned":
                 continue
-            if nice_edge(ev) and walk(ev.branch_id, ev.ws_after):
+            if nice_edge(ev) and walk(ev.branch_id, ev.wS_after):
                 return True
         return False
 

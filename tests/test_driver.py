@@ -44,7 +44,7 @@ class TestRunConfig:
 class TestRescale:
     def test_divides_by_scale(self):
         # Centered on the column mean (6, 12), then divided by 2 * 2.
-        cfg = RunConfig(alpha=0.2, sigma=2.0, scale_c=2.0)
+        cfg = RunConfig(alpha=0.2, sigma=2.0)
         ps = preprocess_rescale(np.array([[4.0, 8.0], [8.0, 16.0]]), cfg)
         np.testing.assert_array_equal(ps.center, [6.0, 12.0])
         np.testing.assert_array_equal(ps.points, [[-0.5, -1.0], [0.5, 1.0]])
@@ -52,7 +52,7 @@ class TestRescale:
     def test_unit_factor_is_identity(self):
         # With a unit factor the stored rows are the input minus its
         # center, bit for bit, and the center is the column mean.
-        cfg = RunConfig(alpha=0.2, sigma=1.0, scale_c=1.0)
+        cfg = RunConfig(alpha=0.2, sigma=0.5)
         pts = np.array([[1.5, -2.5], [0.0, 3.0], [7.25, 1.0]])
         ps = preprocess_rescale(pts, cfg)
         np.testing.assert_allclose(ps.center, pts.mean(axis=0), rtol=1e-15)
@@ -72,7 +72,7 @@ class TestRescale:
         assert PointSet(np.ones((2, 2))).center is None
 
     def test_unscale_inverts_example(self):
-        cfg = RunConfig(alpha=0.2, sigma=2.0, scale_c=2.0)
+        cfg = RunConfig(alpha=0.2, sigma=2.0)
         out = postprocess_unscale(HypothesisList([[1.0, 2.0]]), cfg, np.array([10.0, -10.0]))
         np.testing.assert_allclose(out.vectors, [[14.0, -2.0]])
 
@@ -83,7 +83,7 @@ class TestRescale:
 
     def test_round_trip(self):
         rng = np.random.default_rng(40)
-        cfg = RunConfig(alpha=0.1, sigma=3.7, scale_c=2.0)
+        cfg = RunConfig(alpha=0.1, sigma=3.7)
         pts = rng.normal(size=(20, 4)) * 10
         ps = preprocess_rescale(pts, cfg)
         back = postprocess_unscale(HypothesisList(ps.points), cfg, ps.center)
@@ -98,7 +98,7 @@ class TestMainSubroutine:
     def test_tight_cloud_returns_weighted_mean(self):
         rng = np.random.default_rng(41)
         pts = rng.normal(size=(200, 4)) * 0.3 + 5.0
-        cfg = RunConfig(alpha=0.3, scale_c=1.0)
+        cfg = RunConfig(alpha=0.3, sigma=0.5)
         ps = preprocess_rescale(pts, cfg)
         res = main_subroutine(ps, branch_of(200), cfg)
         assert res.hypothesis is not None
@@ -111,7 +111,7 @@ class TestMainSubroutine:
         pts = np.zeros((100, 3))
         pts[:50, 0] = rng.normal(size=50) * 0.01
         pts[50:, 0] = 100.0 + rng.normal(size=50) * 0.01
-        cfg = RunConfig(alpha=0.2, scale_c=1.0)
+        cfg = RunConfig(alpha=0.2, sigma=0.5)
         ps = preprocess_rescale(pts, cfg)
         res = main_subroutine(ps, branch_of(100), cfg)
         assert res.hypothesis is None
@@ -124,7 +124,7 @@ class TestMainSubroutine:
         pts = np.zeros((100, 2))
         pts[:85, 0] = rng.uniform(0.0, 2.0, 85)
         pts[85:, 0] = rng.uniform(70.0, 72.0, 15)
-        cfg = RunConfig(alpha=0.45, scale_c=1.0)
+        cfg = RunConfig(alpha=0.45, sigma=0.5)
         ps = preprocess_rescale(pts, cfg)
         res = main_subroutine(ps, branch_of(100), cfg)
         assert res.hypothesis is None
@@ -223,9 +223,9 @@ class TestListDecodeMean:
         _, trace = list_decode_mean(pts, cfg, inlier_mask=mask)
         assert trace
         for ev in trace:
-            assert ev.ws_before is not None and ev.ws_after is not None
-            assert ev.ws_before <= ev.wt_before + 1e-9
-            assert ev.ws_after <= ev.wt_after + 1e-9
+            assert ev.wS_before is not None and ev.wS_after is not None
+            assert ev.wS_before <= ev.wT_before + 1e-9
+            assert ev.wS_after <= ev.wT_after + 1e-9
 
     def test_audited_invariants_hold(self):
         spec = InstanceSpec(
@@ -254,13 +254,13 @@ class TestListDecodeMean:
         hyps, trace, audit = run_audited(pts, cfg, inlier_mask=mask)
         assert audit.violations == []
         assert audit.splits > 0 and audit.reweighted > 0
-        assert trace[0].ws_before == mask.sum()
+        assert trace[0].wS_before == mask.sum()
         # Each row keeps its mask entry: shuffled rows give the same masses.
         perm = np.random.default_rng(20).permutation(len(pts))
         shuffled = list_decode_mean(pts[perm], cfg, inlier_mask=mask[perm])[1]
         assert [ev.tag for ev in shuffled] == [ev.tag for ev in trace]
         np.testing.assert_allclose(
-            [ev.ws_after for ev in shuffled], [ev.ws_after for ev in trace], rtol=1e-9
+            [ev.wS_after for ev in shuffled], [ev.wS_after for ev in trace], rtol=1e-9
         )
 
     def test_certified_lambda_star_survives_a_large_offset(self):
@@ -359,7 +359,7 @@ class TestListDecodeMean:
         strong = [
             np.linalg.norm(hyps[i] - mu) / cfg.rescale_factor
             for i, ev in enumerate(certified)
-            if ev.ws_before >= 0.75 * s_size
+            if ev.wS_before >= 0.75 * s_size
         ]
         assert strong, "no certified branch held 3/4 of the inlier mass"
         assert max(strong) <= budget
@@ -435,7 +435,7 @@ class TestSupportLocalPass:
         # A heavy-tailed cloud reweights on its full support.
         cloud = np.vstack([rng.normal(size=(200, 3)) * 0.3, [[500.0, 0.0, 0.0]]])
         root = branch_of(201)
-        cfg = RunConfig(alpha=0.3, scale_c=1.0)
+        cfg = RunConfig(alpha=0.3, sigma=0.5)
         cases.append((root, main_subroutine(PointSet(cloud), root, cfg)))
         seen = set()
         for branch, res in cases:

@@ -140,21 +140,24 @@ class TestFileSweep:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_each_seed_matches_a_standalone_run(self, tmp_path, monkeypatch, threads):
         monkeypatch.setenv("LDME_THREADS", threads)
+        # Each seed's hypotheses, trace and report (but its wall time) are
+        # the bytes of a standalone run of that seed, whatever the threads.
         cfg = file_sweep_config(tmp_path)
-        run_sweep(cfg)
-        for seed in cfg["seeds"]:
+        cfg["output"]["trace"] = str(tmp_path / "trace.csv")
+        for seed, report in zip(cfg["seeds"], run_sweep(cfg)):
             solo = {
                 "instance": dict(cfg["instance"], seed=seed),
-                "run": {"seed": seed},
-                "output": {"hypotheses": str(tmp_path / f"solo{seed}.json")},
+                "output": {
+                    "hypotheses": str(tmp_path / f"solo{seed}.json"),
+                    "trace": str(tmp_path / f"solo{seed}.csv"),
+                },
             }
-            run_experiment(solo)
-            swept = json.loads((tmp_path / f"hyps_seed{seed}.json").read_text())
-            alone = json.loads((tmp_path / f"solo{seed}.json").read_text())
-            for key in ("vectors", "reduced"):
-                assert (
-                    np.array(swept[key]).tobytes() == np.array(alone[key]).tobytes()
-                )
+            assert report_bytes(run_experiment(solo)) == report_bytes(report)
+            for swept, alone in [
+                (f"hyps_seed{seed}.json", f"solo{seed}.json"),
+                (f"trace_seed{seed}.csv", f"solo{seed}.csv"),
+            ]:
+                assert (tmp_path / swept).read_bytes() == (tmp_path / alone).read_bytes()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bad_outlier_file_fails_before_any_output(
@@ -180,6 +183,7 @@ class TestCli:
         )
         assert code == 0
         payload = json.loads(out.read_text())
+        assert payload["config"]["instance"]["seed"] == 9
         assert payload["config"]["run"]["seed"] == 9
         assert payload["list_size"] >= 1
 
@@ -249,7 +253,7 @@ class TestCli:
         code = main(
             [
                 "estimate", "--input", str(pts_path), "--alpha", "0.3",
-                "--seed", "21", "--out", str(hyp_path),
+                "--out", str(hyp_path),
             ]
         )
         assert code == 0
@@ -358,12 +362,17 @@ class TestCli:
         [("seed", "seven"), ("seed", True), ("seed", 7.0), ("trace", "false"), ("trace", 1)],
     )
     def test_wrongly_typed_seed_or_trace_exits_2(self, tmp_path, capsys, field, value):
+        # The seed is an instance field, and the trace flag a run field.
+        section, message = {
+            "seed": ("instance", "seed: must be an integer"),
+            "trace": ("run", "run: trace: must be true or false"),
+        }[field]
         cfg = smoke_config(tmp_path, trace="trace.csv", report="report.json")
-        cfg.setdefault("run", {})[field] = value
+        cfg[section][field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(bad)]) == 2
-        assert f"ldme: config error: run: {field}: " in capsys.readouterr().err
+        assert f"ldme: config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "trace.csv").exists()
         assert not (tmp_path / "report.json").exists()
 
@@ -401,6 +410,94 @@ class TestCli:
         captured = capsys.readouterr()
         assert "ldme: config error: " in captured.err and not captured.out
         assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("run", "seed", 7, "seed: set by another section, not by run"),
+            ("run", "scale_c", 2.0, "scale_c: unknown run field"),
+            ("reduce", "alpha", 0.25, "alpha: set by another section, not by reduce"),
+            ("reduce", "sigma_scale", 2.0, "sigma_scale: set by another section, not by reduce"),
+        ],
+    )
+    def test_removed_or_restated_setting_exits_2(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        # The run's seed is the instance's; reduce's alpha and sigma_scale
+        # are the run's alpha and rescale factor.
+        cfg = smoke_config(tmp_path, report="report.json", trace="trace.csv",
+                           hypotheses="hyps.json")
+        cfg[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(bad)]) == 2
+        assert f"ldme: config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ([1, 1.9], "seeds: must be an integer >= 0, got 1.9"),
+            ([1, True], "seeds: must be an integer >= 0, got True"),
+            ([2, -1], "seeds: must be an integer >= 0, got -1"),
+            ([3, 3], "seeds: must be distinct, got [3, 3]"),
+        ],
+    )
+    def test_sweep_seeds_must_be_distinct_integers(self, tmp_path, capsys, seeds, message):
+        cfg = smoke_config(tmp_path, report="report.json", hypotheses="hyps.json")
+        cfg["seeds"] = seeds
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(bad)]) == 2
+        assert f"ldme: config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("key, value", [("seed", 1.5), ("n", True), ("decoys", 2.0)])
+    def test_synth_with_a_non_integer_exits_2(self, tmp_path, capsys, key, value):
+        cfg = json.loads(SMOKE.read_text())
+        cfg["instance"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "pts.csv")]) == 2
+        assert f"ldme: config error: {key}: must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("reprot", "report.json", "reprot: unknown output field"),
+            ("report", 1, "output.report: must be a path, got 1"),
+            ("trace", None, "output.trace: must be a path, got None"),
+        ],
+    )
+    @pytest.mark.parametrize("seeds", [None, [1, 2]], ids=["config", "sweep"])
+    def test_output_section_takes_known_paths_only(
+        self, tmp_path, capsys, key, value, message, seeds
+    ):
+        cfg = smoke_config(tmp_path, hypotheses="hyps.json")
+        cfg["output"][key] = str(tmp_path / value) if isinstance(value, str) else value
+        if seeds:
+            cfg["seeds"] = seeds
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(bad)]) == 2
+        assert f"ldme: config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_empty_output_path_writes_no_file(self, tmp_path, capsys):
+        cfg = smoke_config(tmp_path, hypotheses="hyps.json")
+        cfg["output"]["report"] = ""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "hyps.json"]
+
+    def test_reduce_alpha_of_one_half_or_more_exits_2(self, tmp_path, capsys):
+        path, out = tmp_path / "h.json", tmp_path / "r.json"
+        path.write_text('{"vectors": [[1.0, 2.0]]}')
+        assert main(["reduce", "--input", str(path), "--alpha", "0.6", "--out", str(out)]) == 2
+        assert "ldme: config error: alpha: must be in (0, 1/2)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numpy_integer_seed_is_an_integer(self):
         assert RunConfig(alpha=0.2, seed=np.int64(7)).seed == 7

@@ -223,7 +223,7 @@ class TestRepresentativeRate:
         "model", ["gaussian_identity", "heavy_tail_student_t", "bounded_uniform"]
     )
     def test_rescaled_inliers_pass_representative_check(self, model):
-        # After dividing by scale_c * sigma = 2, the planted inliers should
+        # After dividing by SCALE_C * sigma = 2, the planted inliers should
         # have empirical covariance norm <= 1.2 and mean error <= 1 in at
         # least 95% of seeds at n*alpha = 4d.
         d, alpha = 10, 0.25

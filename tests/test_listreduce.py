@@ -22,6 +22,8 @@ class TestReduceConfig:
             make_rc(sep_const=0.0)
         with pytest.raises(ConfigError):
             make_rc(alpha=0.0)
+        with pytest.raises(ConfigError, match=r"alpha: must be in \(0, 1/2\)"):
+            make_rc(alpha=0.6)
 
 
 class TestReduceList:

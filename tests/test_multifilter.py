@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ldme.multifilter
 from ldme import (
+    ConfigError,
     InfeasibleSplit,
     PointSet,
     RunConfig,
@@ -76,10 +77,17 @@ class TestDoubledWindow:
         assert _doubled((-1.0, 5.0)) == (-4.0, 8.0)
 
 
+@pytest.mark.parametrize("call", [quantile_interval, find_split])
+def test_alpha_of_one_half_or_more_is_refused(call):
+    # RunConfig's range, (0, 1/2), and its message.
+    with pytest.raises(ConfigError, match=r"alpha: must be in \(0, 1/2\), got 0.6"):
+        call(np.arange(20.0), WeightFn(np.ones(20)), 0.6)
+
+
 class TestQuantileInterval:
     def test_unit_weights_integer_grid(self):
-        iv = quantile_interval(np.arange(10.0), WeightFn(np.ones(10)), 0.8)
-        assert iv == (1.0, 8.0)
+        iv = quantile_interval(np.arange(20.0), WeightFn(np.ones(20)), 0.4)
+        assert iv == (1.0, 18.0)
 
     def test_single_supported_point(self):
         iv = quantile_interval(

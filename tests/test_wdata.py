@@ -139,7 +139,7 @@ class TestPointSet:
         # The mean weights each row by 1/n before summing, so it does not
         # overflow where the plain column sum would.
         pts = np.full((4, 2), 1.5e308)
-        ps = preprocess_rescale(pts, RunConfig(alpha=0.2, scale_c=1.0))
+        ps = preprocess_rescale(pts, RunConfig(alpha=0.2, sigma=0.5))
         np.testing.assert_array_equal(ps.center, [1.5e308, 1.5e308])
         assert PointSet(pts).n == 4
 
