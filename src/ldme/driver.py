@@ -283,7 +283,7 @@ def list_decode_mean(
     trace: list[TraceEvent] = []
     hypotheses: list[np.ndarray] = []
 
-    root = BranchState(weights=WeightFn(np.ones(n)), lineage=())
+    root = BranchState(weights=WeightFn._ones(n), lineage=())
     queue: deque[tuple[int, int, BranchState]] = deque([(0, -1, root)])
     next_id = 1
     passes = 0

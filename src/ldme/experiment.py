@@ -77,14 +77,14 @@ def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict
 
 
 def _config_echo(spec: InstanceSpec, run_cfg: RunConfig, red_cfg: ReduceConfig) -> dict:
-    inst = {
-        k: (v.tolist() if isinstance(v, np.ndarray) else v)
-        for k, v in spec.__dict__.items()
-    }
+    """The three sections as JSON values: a numpy array or scalar, which
+    the config checks accept, becomes the Python list or number."""
     return {
-        "instance": inst,
-        "run": dict(run_cfg.__dict__),
-        "reduce": dict(red_cfg.__dict__),
+        name: {
+            k: (v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v)
+            for k, v in section.__dict__.items()
+        }
+        for name, section in (("instance", spec), ("run", run_cfg), ("reduce", red_cfg))
     }
 
 

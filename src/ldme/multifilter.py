@@ -159,8 +159,8 @@ def truncated_variance(
     """Weighted variance of the projections restricted to the window (a, b).
 
     In ascending order the window [a, b] is one run of positions, found by
-    one binary search per end; only that run is read. ``order`` is as for
-    quantile_interval.
+    one binary search per end; only that run is read, and under unit
+    weights its total is its length. ``order`` is as for quantile_interval.
     """
     p = _check_inputs(projections, w)
     if order is None:
@@ -169,7 +169,7 @@ def truncated_variance(
     i0 = int(np.searchsorted(vals, window[0], side="left"))
     i1 = int(np.searchsorted(vals, window[1], side="right"))
     vals, wts = vals[i0:i1], wts[i0:i1]
-    total = float(wts.sum())
+    total = float(i1 - i0) if w.unit else float(wts.sum())
     if total <= 0.0:
         raise ValueError("no weight inside the window")
     return _variance(vals, wts, total)
@@ -289,7 +289,7 @@ def find_split(
     if order is None:
         order = np.argsort(p)
     vals, wts = p[order], w.weights[order]
-    grid = _cut_grid(vals, wts)
+    grid = _cut_grid(vals, wts, w.unit)
     if grid is None:
         return None
     prefix, lo, hi = grid
@@ -313,7 +313,7 @@ def find_split(
             if found is not None and found[:3] < best[:3]:
                 best = found
     sp = best[3]
-    if sp is None or not _split_holds(vals, wts, w.total, sp, l48):
+    if sp is None or not _split_holds(vals, wts, w.total, sp, l48, w.unit):
         return None
     return sp
 
@@ -410,7 +410,7 @@ def _first(holds, m: int) -> int:
     return lo
 
 
-def _cut_grid(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, ...] | None:
+def _cut_grid(vals: np.ndarray, wts: np.ndarray, unit: bool) -> tuple[np.ndarray, ...] | None:
     """The arrays find_split searches, or None below two supported values.
 
     Takes the values in ascending order with their weights and drops
@@ -419,15 +419,16 @@ def _cut_grid(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, ...] | Non
     and, over the gaps between them, the usable cuts lo and hi; find_split
     forms the lost fractions g1 = prefix/total and g2 = (total - prefix)/total
     per block. Without ties u is the input itself and its weights need no
-    grouping; lo and hi are built in place, so the grid is three arrays of
-    the support's size.
+    grouping; under unit weights (``unit``) the prefix sums are then the
+    counts 1, 2, ..., the same bits as cumsum. lo and hi are built in
+    place, so the grid is three arrays of the support's size.
     """
-    if not wts.min() > 0.0:
+    if not (unit or wts.min() > 0.0):
         supported = wts > 0.0
         vals, wts = vals[supported], wts[supported]
     fresh = vals[1:] != vals[:-1]
     if fresh.all():
-        u, prefix = vals, np.cumsum(wts)
+        u, prefix = vals, np.arange(1.0, len(vals) + 1.0) if unit else np.cumsum(wts)
     else:
         starts = np.flatnonzero(np.r_[True, fresh])
         u, prefix = vals[starts], np.add.reduceat(wts, starts)
@@ -442,17 +443,21 @@ def _cut_grid(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, ...] | Non
 
 
 def _split_holds(
-    vals: np.ndarray, wts: np.ndarray, total: float, sp: SplitParams, l48: float
+    vals: np.ndarray, wts: np.ndarray, total: float, sp: SplitParams, l48: float,
+    unit: bool,
 ) -> bool:
     """Re-check both conditions on the realized halves of a candidate.
 
     vals ascend, so kept-right {x >= t - R} is a suffix and kept-left
-    {x < t + R} a prefix, each found by one binary search.
+    {x < t + R} a prefix, each found by one binary search; under unit
+    weights (``unit``) each half's mass is its length.
     """
     k_right = int(np.searchsorted(vals, sp.t - sp.R, side="left"))
     k_left = int(np.searchsorted(vals, sp.t + sp.R, side="left"))
-    w1 = float(wts[k_right:].sum())
-    w2 = float(wts[:k_left].sum())
+    if unit:
+        w1, w2 = float(len(vals) - k_right), float(k_left)
+    else:
+        w1, w2 = float(wts[k_right:].sum()), float(wts[:k_left].sum())
     if not w1 * w1 + w2 * w2 <= total * total:
         return False
     return min(1.0 - w1 / total, 1.0 - w2 / total) >= l48 / (sp.R * sp.R)
@@ -505,7 +510,8 @@ def basic_multifilter(
         order = ascending
     else:
         order = np.argsort(proj)
-        proj, w = proj[order], WeightFn._own(w.weights[order])
+        proj = proj[order]
+        w = WeightFn._ones(len(w)) if w.unit else WeightFn._own(w.weights[order])
     interval = quantile_interval(proj, w, alpha, ascending)
     if truncated_variance(proj, w, _doubled(interval), ascending) <= gate:
         if (_eigenvalue if ps.d == 1 and _eigenvalue is not None
@@ -527,7 +533,10 @@ def basic_multifilter(
         )
     # Ascending projections make {x >= t - R} a suffix and {x < t + R} a prefix.
     lo, hi = np.searchsorted(proj, (sp.t - sp.R, sp.t + sp.R)).tolist()
-    right = WeightFn._own(w.weights[lo:].copy())
-    left = WeightFn._own(w.weights[:hi].copy())
+    if w.unit:
+        right, left = WeightFn._ones(len(proj) - lo), WeightFn._ones(hi)
+    else:
+        right = WeightFn._own(w.weights[lo:].copy())
+        left = WeightFn._own(w.weights[:hi].copy())
     rows = (_rows(order, slice(lo, len(proj))), _rows(order, slice(0, hi)))
     return MultifilterOutcome("split", (right, left), sp, rows)

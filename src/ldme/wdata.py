@@ -112,8 +112,11 @@ class WeightFn:
     """Per-point weights in [0, 1] for a PointSet of matching length.
 
     The total mass is computed once at construction and cached, and so is
-    ``unit``: whether every weight is 1. The public constructor copies its
-    input; ``_own`` adopts a fresh array instead.
+    ``unit``: whether every weight is exactly 1. Under unit weights a
+    running sum of k weights is k, exact below 2**53, so the filter counts
+    rows where it would sum weights, with the same bits. The public
+    constructor copies its input; ``_own`` adopts a fresh array instead,
+    and ``_ones`` builds unit weights without checking or summing them.
     """
 
     __slots__ = ("weights", "total", "unit")
@@ -132,6 +135,15 @@ class WeightFn:
             raise TypeError(f"weights must be float64, got {w.dtype}")
         wf = cls.__new__(cls)
         wf._adopt(w)
+        return wf
+
+    @classmethod
+    def _ones(cls, k: int) -> "WeightFn":
+        """Unit weights on k rows: total k, ``unit`` True."""
+        w = np.ones(k)
+        w.flags.writeable = False
+        wf = cls.__new__(cls)
+        wf.weights, wf.total, wf.unit = w, float(k), True
         return wf
 
     def _adopt(self, w: np.ndarray) -> None:
@@ -189,11 +201,13 @@ def project(ps: PointSet, v: np.ndarray) -> np.ndarray:
     bits whichever other rows share its set; BLAS gemv rounds a row
     differently depending on its position. In 1-D the projection is the
     column times v[0], the same values as the reduction (a zero's sign
-    aside) in one multiply.
+    aside) in one multiply. For v = [1.0], the one direction the driver
+    passes in 1-D, x * 1.0 is x, so the column itself is returned: a
+    read-only view of the set's points, not a fresh array.
     """
     v = _check_unit(v, ps.d)
     if ps.d == 1:
-        return ps.points[:, 0] * v[0]
+        return ps.points[:, 0] if v[0] == 1.0 else ps.points[:, 0] * v[0]
     return np.einsum("ij,j->i", ps.points, v)
 
 

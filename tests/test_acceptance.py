@@ -112,7 +112,12 @@ def batch1():
 
 @pytest.fixture(scope="module")
 def batch2():
-    """Criterion-2 batch: d=50, n=5000, alpha=0.1, 9 equidistant decoys."""
+    """Criterion-2 batch: d=50, n=5000, alpha=0.1, 9 equidistant decoys.
+
+    These inputs take the path where the root certifies: the list is the
+    one sample mean, within the budget, so the batch cannot tell the
+    estimator from returning points.mean(0).
+    """
     alpha, d, n = 0.1, 50, 5000
     sep = 40.0 / math.sqrt(alpha)
     runs = []

@@ -684,3 +684,58 @@ def test_row_permutation_keeps_hypothesis_set(adversary):
     got = sorted_rows(list_decode_mean(pts[perm], cfg)[0].vectors)
     assert got.shape == want.shape and len(want) >= 1
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("d", [1, 6])
+def test_split_children_of_a_unit_branch_are_unit(d):
+    # A split of unit weights keeps unit weights on both halves, built as
+    # ones whose total is the half's length; the root is unit too.
+    steps = []
+    list_decode_mean(junk_instance(4000, d, seed=52), RunConfig(alpha=0.2, trace=False),
+                     observer=steps.append)
+    assert steps[0].branch.weights.unit
+    splits = [
+        st for st in steps if st.branch.weights.unit and st.result.outcome.tag == "split"
+    ]
+    assert len(splits) >= 2
+    for st in splits:
+        for child in st.result.children + st.result.pruned:
+            w = child.weights
+            assert w.unit and w.total == float(len(w)) and (w.weights == 1.0).all()
+
+
+def rotation_case(name):
+    """Points and alpha of a pinned instance of tests/test_tree.py, or of a
+    wider line_clusters instance."""
+    from test_tree import PINNED, pinned_input
+
+    if name in PINNED:
+        instance, junk, _ = PINNED[name]
+        return pinned_input(instance, junk)[0], instance["alpha"]
+    spec = InstanceSpec(n=4000, d=10, alpha=0.1, adversary="line_clusters", decoys=9,
+                        separation=300.0, mean_radius=5.0, seed=3)
+    return gen_instance(spec)[0], spec.alpha
+
+
+@pytest.mark.parametrize("name", ["line_clusters", "decoy_clusters", "line_clusters_d10"])
+def test_rotated_input_gives_rotated_hypotheses(name):
+    # For an orthogonal Q, the hypotheses of x Q' are those of x, times Q',
+    # within 1e-12 max|x| (6e-16 max|x| at worst when measured). They are
+    # compared as sorted rows, a set with repeats: the eigenvector's sign
+    # rule (largest component non-negative) is not rotation-equivariant, so
+    # the rotated run can process its branches, and list their means, in
+    # another order.
+    pts, alpha = rotation_case(name)
+    cfg = RunConfig(alpha=alpha, trace=False)
+    want = list_decode_mean(pts, cfg)[0].vectors
+    assert len(want) >= 2
+    tol = 1e-12 * float(np.abs(pts).max())
+    rng = np.random.default_rng(53)
+    for _ in range(8):
+        q, r = np.linalg.qr(rng.normal(size=(pts.shape[1],) * 2))
+        q *= np.sign(np.diag(r))
+        got = list_decode_mean(pts @ q.T, cfg)[0].vectors
+        assert got.shape == want.shape
+        np.testing.assert_allclose(
+            sorted_rows(got), sorted_rows(want @ q.T), rtol=0.0, atol=tol
+        )

@@ -78,6 +78,17 @@ class TestRunExperiment:
         r2 = run_experiment(cfg)
         assert report_bytes(r1) == report_bytes(r2)
 
+    def test_numpy_integers_in_the_config_are_echoed_as_ints(self, tmp_path):
+        # check_int accepts numpy integers, so the report must write them.
+        cfg = {
+            "instance": {"n": np.int64(60), "d": 2, "alpha": 0.3, "seed": np.int64(3)},
+            "output": {"report": str(tmp_path / "report.json")},
+        }
+        run_experiment(cfg)
+        echo = json.loads((tmp_path / "report.json").read_text())["config"]["instance"]
+        assert echo["n"] == 60 and type(echo["n"]) is int
+        assert echo["seed"] == 3 and type(echo["seed"]) is int
+
     def test_out_of_range_alpha_rejected(self, tmp_path):
         cfg = smoke_config(tmp_path)
         cfg["instance"]["alpha"] = 0.6

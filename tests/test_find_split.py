@@ -37,6 +37,15 @@ def random_1d_instance(rng):
     return vals, wts, alpha
 
 
+def ulp_gap_instance(rng, off: float):
+    """Unit weights on a few clusters far apart, each of values a whole
+    number of ulps (0 to 30, so with ties) above the cluster's center."""
+    centers = off + 400.0 * np.arange(int(rng.integers(2, 5)))
+    pick = rng.choice(centers, int(rng.integers(4, 120)))
+    vals = pick + np.spacing(pick) * rng.integers(0, 31, len(pick))
+    return vals, np.ones(len(vals)), float(rng.uniform(0.02, 0.45))
+
+
 class TestFindSplit:
     def test_two_far_clusters_feasible(self):
         vals = np.concatenate([np.zeros(50), np.full(50, 100.0)])
@@ -61,15 +70,16 @@ class TestFindSplit:
         rng = np.random.default_rng(31)
         feasible_seen = 0
         for _ in range(300):
-            vals, wts, alpha = random_1d_instance(rng)
+            vals, drawn, alpha = random_1d_instance(rng)
             vals = vals + off
-            sp = find_split(vals, WeightFn(wts), alpha)
-            expect = split_feasible_bruteforce(vals, wts, alpha)
-            assert (sp is not None) == expect, (vals, wts, alpha)
-            if sp is not None:
-                feasible_seen += 1
-                assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R)
-        assert feasible_seen >= 30  # the comparison must not be vacuous
+            for wts in (drawn, np.ones_like(drawn)):  # and under unit weights
+                sp = find_split(vals, WeightFn(wts), alpha)
+                expect = split_feasible_bruteforce(vals, wts, alpha)
+                assert (sp is not None) == expect, (vals, wts, alpha)
+                if sp is not None:
+                    feasible_seen += 1
+                    assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R)
+        assert feasible_seen >= 60  # the comparison must not be vacuous
 
     @pytest.mark.parametrize("off", [0.0, 1e6, 1e9])
     def test_takes_most_balanced_split(self, off):
@@ -93,13 +103,14 @@ class TestFindSplit:
         rng = np.random.default_rng(33)
         feasible_seen = 0
         for _ in range(300):
-            vals, wts, alpha = random_1d_instance(rng)
+            vals, drawn, alpha = random_1d_instance(rng)
             vals = vals + off
-            sp = find_split(vals, WeightFn(wts), alpha)
-            if sp is not None:
-                feasible_seen += 1
-                assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R, rel_tol=0.0)
-        assert feasible_seen >= 30
+            for wts in (drawn, np.ones_like(drawn)):  # and under unit weights
+                sp = find_split(vals, WeightFn(wts), alpha)
+                if sp is not None:
+                    feasible_seen += 1
+                    assert split_conditions_hold(vals, wts, alpha, sp.t, sp.R, rel_tol=0.0)
+        assert feasible_seen >= 60
 
     def test_tie_order_does_not_matter(self):
         rng = np.random.default_rng(48)
@@ -145,6 +156,73 @@ class TestHalfSearch:
             assert got == want, (vals, wts, alpha)
             feasible_seen += want is not None
         assert feasible_seen >= 1_000
+
+
+class TestUnitWeights:
+    """Under unit weights the split search, its re-check and the window's
+    total count rows instead of summing weights; every answer must be the
+    summing path's, bit for bit. The summing path is forced by clearing
+    ``unit`` on all-ones weights."""
+
+    @staticmethod
+    def _instances(rng):
+        for off in (0.0, 1e6, 1e12):
+            for _ in range(100):
+                vals, wts, alpha = random_1d_instance(rng)
+                yield vals + off, np.ones_like(wts), alpha
+                vals, wts, alpha = tied_1d_instance(rng)
+                yield vals + off, np.ones_like(wts), alpha
+                yield ulp_gap_instance(rng, max(off, 1.0))
+
+    @staticmethod
+    def _summed(n):
+        w = WeightFn(np.ones(n))
+        w.unit = False
+        return w
+
+    def test_find_split_matches_the_full_search_and_the_summing_path(self):
+        rng = np.random.default_rng(40)
+        feasible_seen = 0
+        for vals, wts, alpha in self._instances(rng):
+            sp = find_split(vals, WeightFn(wts), alpha)
+            got = None if sp is None else (sp.t, sp.R)
+            assert got == find_split_both_families(vals, wts, alpha), (vals, alpha)
+            assert find_split(vals, self._summed(len(vals)), alpha) == sp
+            feasible_seen += sp is not None
+        assert feasible_seen >= 300
+
+    def test_grid_and_recheck_take_the_same_bits(self):
+        rng = np.random.default_rng(41)
+        recheck_held = 0
+        for vals, wts, alpha in self._instances(rng):
+            vals = np.sort(vals)
+            counted = multifilter._cut_grid(vals, wts, True)
+            summed = multifilter._cut_grid(vals, wts, False)
+            assert (counted is None) == (summed is None)
+            for a, b in zip(counted or (), summed or ()):
+                assert a.tobytes() == b.tobytes()
+            l48 = 48.0 * np.log2(2.0 / alpha)
+            span = vals[-1] - vals[0]
+            for _ in range(5):
+                t = float(rng.uniform(vals[0], vals[-1]))
+                R = float(rng.uniform(1e-3, 1.0)) * span + 1.0
+                sp = multifilter.SplitParams(t=t, R=R)
+                held = multifilter._split_holds(vals, wts, float(len(vals)), sp, l48, True)
+                assert held == multifilter._split_holds(
+                    vals, wts, float(len(vals)), sp, l48, False)
+                recheck_held += held
+        assert recheck_held >= 20
+
+    def test_window_total_takes_the_same_bits(self):
+        rng = np.random.default_rng(42)
+        for vals, wts, _ in self._instances(rng):
+            vals = np.sort(vals)
+            for _ in range(5):
+                window = tuple(np.sort(rng.choice(vals, 2)))
+                got = multifilter.truncated_variance(vals, WeightFn(wts), window, slice(None))
+                want = multifilter.truncated_variance(
+                    vals, self._summed(len(vals)), window, slice(None))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestBlockedSearch:

@@ -226,7 +226,12 @@ class TestProject:
         proj = project(ps, v)
         np.testing.assert_array_equal(proj, np.einsum("ij,j->i", ps.points, v))
         np.testing.assert_array_equal(proj, sign * ps.points[:, 0])
-        assert not np.shares_memory(proj, ps.points)
+        if sign == 1.0:  # the column itself, read-only like the set
+            assert not proj.flags.writeable
+            with pytest.raises(ValueError):
+                proj[0] = 1.0
+        else:
+            assert not np.shares_memory(proj, ps.points)
 
     @pytest.mark.parametrize("d", [8, 20, 200])
     def test_restricted_rows_project_to_the_same_bits(self, d):
