@@ -28,7 +28,7 @@ naive = points.mean(axis=0)
 print(f"\nnaive sample mean error:  {np.linalg.norm(naive - true_mean):8.3f}")
 
 cfg = RunConfig(alpha=0.3, sigma=1.0, seed=42)
-hypotheses, trace = list_decode_mean(points, cfg, inlier_mask=inlier_mask)
+hypotheses, _ = list_decode_mean(points, cfg)
 result = evaluate(hypotheses, true_mean)
 print(f"robust candidates: {len(hypotheses)}")
 for i, h in enumerate(hypotheses):

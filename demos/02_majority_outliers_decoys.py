@@ -37,11 +37,8 @@ points = np.vstack(chunks)[rng.permutation(n)]
 print(f"{n_in} inliers vs {n - n_in} outliers in 9 identical decoys")
 
 cfg = RunConfig(alpha=alpha, sigma=1.0, seed=1)
-hypotheses, trace = list_decode_mean(points, cfg)
-tags = {}
-for ev in trace:
-    tags[ev.tag] = tags.get(ev.tag, 0) + 1
-print(f"\nsearch tree outcomes: {tags}")
+hypotheses, stats = list_decode_mean(points, cfg)
+print(f"\nsearch tree outcomes: {stats.summary()['by_tag']}")
 print(f"raw list size: {len(hypotheses)} (bound 4/alpha^2 = {int(4 / alpha**2)})")
 print(f"best raw error: {evaluate(hypotheses, true_mean)['min_error']:.3f}")
 

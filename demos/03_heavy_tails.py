@@ -28,16 +28,9 @@ for name, draw in (
     inliers = true_mean + draw(rng, (n_in, d))
     mirrored = -(true_mean + draw(rng, (n - n_in - 60, d)))
     junk = rng.uniform(-1.0, 1.0, size=(60, d)) * 3000.0
-    points = np.vstack([inliers, mirrored, junk])
-    mask = np.zeros(n, dtype=bool)
-    mask[:n_in] = True
-    perm = rng.permutation(n)
-    points, mask = points[perm], mask[perm]
+    points = np.vstack([inliers, mirrored, junk])[rng.permutation(n)]
 
     cfg = RunConfig(alpha=alpha, sigma=1.0, seed=3)
-    hypotheses, trace = list_decode_mean(points, cfg, inlier_mask=mask)
-    tags = {}
-    for ev in trace:
-        tags[ev.tag] = tags.get(ev.tag, 0) + 1
+    hypotheses, stats = list_decode_mean(points, cfg)
     err = evaluate(hypotheses, true_mean)["min_error"]
-    print(f"{name:>22}: {len(hypotheses)} candidates, best error {err:6.3f}, {tags}")
+    print(f"{name:>22}: {len(hypotheses)} candidates, best error {err:6.3f}, {stats.summary()['by_tag']}")

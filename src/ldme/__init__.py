@@ -23,8 +23,8 @@ from .driver import (
     BranchState,
     DriverStep,
     HypothesisList,
+    RunStats,
     SubroutineResult,
-    TraceEvent,
     list_decode_mean,
     main_subroutine,
     postprocess_unscale,
@@ -43,7 +43,7 @@ from .multifilter import (
     soft_downweight,
     truncated_variance,
 )
-from .report import Report, TreeCounts, evaluate, write_trace_csv
+from .report import Report, TraceEvent, TraceRecorder, alpha_good, evaluate, write_trace_csv
 from .wdata import (
     EigenPair,
     PointSet,

@@ -101,7 +101,7 @@ def _cmd_estimate(args) -> int:
     points = load_points(args.input)
     if args.alpha is None:
         raise ConfigError("alpha: required (flag or config)")
-    cfg = RunConfig(**_given(args, RUN_FLAGS), trace=False)
+    cfg = RunConfig(**_given(args, RUN_FLAGS))
     hyps, _ = list_decode_mean(points, cfg)
     payload: dict = {"alpha": cfg.alpha, "vectors": hyps.vectors.tolist()}
     if not args.no_reduce:

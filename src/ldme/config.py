@@ -54,17 +54,19 @@ class RunConfig:
         sigma: known covariance scale of the inliers (Cov <= sigma^2 I);
             points are divided by SCALE_C * sigma before filtering.
         big_c: variance-threshold constant of the filtering rule.
-        seed: seed of the run, recorded with it; experiment configs set it
-            from the instance's seed. The estimator draws no random
-            numbers, so its answer does not depend on the seed.
-        trace: whether list_decode_mean records per-iteration trace events.
+        seed: the instance's seed, echoed in an experiment's report.
+        trace: whether an experiment writes a trace file, echoed likewise.
+
+    The estimator reads neither: it draws no random numbers, and its trace
+    is an observer (report.TraceRecorder). Both stay for the report's echo
+    and for callers, the benchmark among them, that build RunConfig with them.
     """
 
     alpha: float
     sigma: float = 1.0
     big_c: float = 20.0
     seed: int = 0
-    trace: bool = True
+    trace: bool = False
 
     def __post_init__(self) -> None:
         check_int("seed", self.seed)

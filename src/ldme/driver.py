@@ -11,10 +11,10 @@ unless their total mass falls below alpha*n/2.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -43,26 +43,6 @@ class BranchState:
         return len(self.lineage)
 
 
-class TraceEvent(NamedTuple):
-    """One row of the trace CSV, its fields the columns, from a DriverStep.
-
-    One event per certified exit and one per produced child (including
-    pruned ones). branch_id names the resulting branch; for certified exits
-    it names the branch itself. wT_* is the branch's total weight and wS_*
-    its weight on the inliers, None when no inlier mask was supplied.
-    """
-
-    branch_id: int
-    parent_id: int
-    depth: int
-    tag: str
-    lambda_star: float
-    wT_before: float
-    wT_after: float
-    wS_before: float | None = None
-    wS_after: float | None = None
-
-
 class HypothesisList:
     """Candidate means in the original input coordinates."""
 
@@ -87,7 +67,7 @@ class HypothesisList:
         return self.vectors[i]
 
     def __repr__(self) -> str:
-        return f"HypothesisList(size={len(self)}, d={self.vectors.shape[1] if len(self) else '?'})"
+        return f"HypothesisList(size={len(self)}, d={self.vectors.shape[1]})"
 
 
 @dataclass(frozen=True)
@@ -103,10 +83,8 @@ class SubroutineResult:
 
 @dataclass(frozen=True)
 class DriverStep:
-    """The one record of a processed branch.
+    """The one record of a processed branch, handed to the observer.
 
-    The driver builds one per pass, whether or not a trace is recorded,
-    hands it to the observer and derives the pass's trace events from it.
     Kept children are numbered child_ids and pruned ones pruned_ids, both
     in the order of result.children and result.pruned.
     """
@@ -119,6 +97,35 @@ class DriverStep:
     result: SubroutineResult
 
 
+@dataclass
+class RunStats:
+    """Counts of a run's search tree, taken by the driver pass by pass.
+
+    passes counts processed branches, branches the root plus every child
+    created, by_tag the trace events the passes stand for (one per
+    certified pass, else one per kept child under the pass's tag and one
+    per pruned child under "pruned"), and max_depth is the deepest
+    processed branch.
+    """
+
+    passes: int = 0
+    branches: int = 1
+    max_depth: int = 0
+    by_tag: Counter[str] = field(default_factory=Counter)
+
+    def record(self, step: DriverStep) -> None:
+        tag = step.result.outcome.tag
+        self.passes += 1
+        self.branches += len(step.child_ids) + len(step.pruned_ids)
+        self.max_depth = max(self.max_depth, step.branch.depth)
+        self.by_tag[tag] += 1 if tag == "certified" else len(step.child_ids)
+        self.by_tag["pruned"] += len(step.pruned_ids)
+
+    def summary(self) -> dict:
+        by_tag = {tag: count for tag, count in self.by_tag.items() if count}
+        return {"events": sum(by_tag.values()), "by_tag": by_tag, "max_depth": self.max_depth}
+
+
 def preprocess_rescale(points, cfg: RunConfig) -> PointSet:
     """The points centered on their column mean, then divided by
     SCALE_C * sigma (RunConfig checks sigma > 0).
@@ -127,22 +134,10 @@ def preprocess_rescale(points, cfg: RunConfig) -> PointSet:
     relative to it keeps later rounding at the scale of the sample's spread,
     not of its offset from the origin. A 1-D column is then sorted ascending.
     """
-    return _rescaled(points, cfg)[0]
-
-
-def _rescaled(points, cfg: RunConfig, inlier_mask=None) -> tuple[PointSet, np.ndarray | None]:
-    """preprocess_rescale's set, and the inlier mask (None if not given),
-    checked and permuted as the 1-D sort moved its rows."""
     ps = PointSet._centered(points, cfg.rescale_factor)
-    mask = None if inlier_mask is None else np.asarray(inlier_mask, dtype=bool)
-    if mask is not None and mask.shape != (ps.n,):
-        raise ValueError(f"inlier mask has shape {mask.shape}, expected ({ps.n},)")
     if ps.d > 1 or (ps.points[1:, 0] >= ps.points[:-1, 0]).all():
-        return ps, mask
-    if mask is None:  # sorting the values alone is several times faster
-        return PointSet._over(np.sort(ps.points, axis=0), ps.center), None
-    order = np.argsort(ps.points[:, 0])
-    return PointSet._over(ps.points[order], ps.center), mask[order]
+        return ps
+    return PointSet._over(np.sort(ps.points, axis=0), ps.center)
 
 
 def postprocess_unscale(
@@ -205,55 +200,11 @@ def _child_rows(rows: np.ndarray | slice | None, at: np.ndarray | slice):
     return at + base if base else at
 
 
-def _inlier_mass(branch: BranchState, mask: np.ndarray | None) -> float | None:
-    if mask is None:
-        return None
-    w = branch.weights.weights
-    return float((w[mask] if branch.rows is None else w[mask[branch.rows]]).sum())
-
-
-def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]:
-    """The trace rows of one processed branch.
-
-    A certified branch gives one event under its own id; any other pass
-    gives one event per child, kept ones under the pass's tag and pruned
-    ones under "pruned", each named by the child's id.
-    """
-    res, parent = step.result, step.branch
-    lam, wS_before = res.eigenpair.value, _inlier_mass(parent, mask)
-    # Each event: its branch id, its parent id, tag, the branch after.
-    if res.hypothesis is not None:
-        events = [(step.branch_id, step.parent_id, "certified", parent)]
-    else:
-        tags = (res.outcome.tag,) * len(res.children) + ("pruned",) * len(res.pruned)
-        ids = step.child_ids + step.pruned_ids
-        events = zip(ids, repeat(step.branch_id), tags, res.children + res.pruned)
-    return [
-        TraceEvent(bid, pid, parent.depth, tag, lam, parent.weights.total,
-                   after.weights.total, wS_before, _inlier_mass(after, mask))
-        for bid, pid, tag, after in events
-    ]
-
-
-def _alpha_good(ps: PointSet, mask: np.ndarray, alpha: float) -> bool:
-    """Check the verifiable part of alpha-goodness on rescaled points."""
-    size = int(mask.sum())
-    if size < alpha * ps.n - 1e-9:
-        return False
-    sub = ps.points[mask]
-    if sub.shape[0] < 2:
-        return True
-    centered = sub - sub.mean(axis=0)
-    top_sv = float(np.linalg.svd(centered, compute_uv=False)[0])
-    return top_sv * top_sv / sub.shape[0] <= 1.0
-
-
 def list_decode_mean(
     points,
     cfg: RunConfig,
-    inlier_mask=None,
     observer: Callable[[DriverStep], None] | None = None,
-) -> tuple[HypothesisList, list[TraceEvent]]:
+) -> tuple[HypothesisList, RunStats]:
     """Estimate candidate means from a sample with a majority of outliers.
 
     Centers the input on its column mean and rescales it by SCALE_C *
@@ -265,37 +216,30 @@ def list_decode_mean(
     Args:
         points: (n, d) array of samples.
         cfg: run configuration; cfg.alpha is the assumed inlier fraction.
-        inlier_mask: optional boolean array marking planted inliers. When
-            given, trace events carry the weight mass on the inliers, and a
-            post-run check requires at least one hypothesis whenever the
-            mask passes the verifiable goodness test.
         observer: optional callback invoked with the DriverStep of each
-            processed branch, in processing order, whether or not the trace
-            is recorded; it must not mutate anything.
+            processed branch, in processing order; it must not mutate
+            anything. The trace is one such observer (report.TraceRecorder).
 
     Returns:
-        (HypothesisList, trace events). The trace is empty when cfg.trace
-        is false.
+        (HypothesisList, RunStats).
     """
-    ps, mask = _rescaled(points, cfg, inlier_mask)
+    ps = preprocess_rescale(points, cfg)
     n = ps.n
 
-    trace: list[TraceEvent] = []
     hypotheses: list[np.ndarray] = []
+    stats = RunStats()
 
     root = BranchState(weights=WeightFn._ones(n), lineage=())
     queue: deque[tuple[int, int, BranchState]] = deque([(0, -1, root)])
     next_id = 1
-    passes = 0
     # Worst-case tree size is n splits deep over at most ceil(4/alpha^2)
     # simultaneous branches; anything past that indicates a broken invariant.
     step_guard = 10 * n * (math.ceil(4.0 / cfg.alpha**2) + 1) + 16
 
     while queue:
-        branch_id, parent_id, branch = queue.popleft()
-        passes += 1
-        if passes > step_guard:
+        if stats.passes >= step_guard:
             raise RuntimeError("worklist failed to terminate within the step bound")
+        branch_id, parent_id, branch = queue.popleft()
 
         result = main_subroutine(ps, branch, cfg)
         # Kept children take the next ids, then pruned ones, in pass order.
@@ -306,8 +250,7 @@ def list_decode_mean(
         if result.hypothesis is not None:
             hypotheses.append(result.hypothesis)
         queue.extend(zip(step.child_ids, repeat(branch_id), result.children))
-        if cfg.trace:
-            trace.extend(_trace_events(step, mask))
+        stats.record(step)
         if observer is not None:
             observer(step)
 
@@ -318,12 +261,5 @@ def list_decode_mean(
             f"bound of {list_cap}"
         )
 
-    if hypotheses:
-        raw = HypothesisList(np.vstack(hypotheses))
-    else:
-        raw = HypothesisList(np.zeros((0, ps.d)))
-    out = postprocess_unscale(raw, cfg, ps.center)
-
-    if mask is not None and _alpha_good(ps, mask, cfg.alpha) and len(out) == 0:
-        raise RuntimeError("no hypothesis produced on a verified good input")
-    return out, trace
+    raw = HypothesisList(np.reshape(hypotheses, (-1, ps.d)))
+    return postprocess_unscale(raw, cfg, ps.center), stats

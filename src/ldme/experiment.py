@@ -2,7 +2,7 @@
 
 A config is one JSON object with sections:
     instance: InstanceSpec fields (n, d, alpha, adversary, seed, ...)
-    run:      alpha, sigma, big_c, trace (alpha, sigma default from instance)
+    run:      alpha, sigma, big_c (alpha, sigma default from instance)
     reduce:   sep_const (alpha and sigma_scale come from run)
     output:   report / trace / hypotheses file paths (all optional)
     seeds:    optional distinct seeds to fan out over (LDME_THREADS workers)
@@ -23,7 +23,7 @@ from .dataio import save_hypotheses_json, write_json
 from .driver import list_decode_mean
 from .instances import InstanceSpec, gen_instance, load_outliers
 from .listreduce import ReduceConfig, reduce_list
-from .report import Report, TreeCounts, evaluate, write_trace_csv
+from .report import Report, TraceRecorder, alpha_good, evaluate, write_trace_csv
 
 
 _SECTIONS = {"instance": dict, "run": dict, "reduce": dict, "output": dict, "seeds": list}
@@ -62,17 +62,16 @@ def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict
     if "instance" not in cfg:
         raise ConfigError("instance: section is required")
     spec = InstanceSpec.from_dict(cfg["instance"])
+    output = dict(cfg.get("output", {}))
+    # The run echoes the instance's seed and whether a trace file is asked for.
     run_cfg = from_section(
-        RunConfig, cfg.get("run", {}), "run", ("seed",),
-        alpha=spec.alpha, sigma=spec.sigma, seed=spec.seed,
+        RunConfig, cfg.get("run", {}), "run", ("seed", "trace"),
+        alpha=spec.alpha, sigma=spec.sigma, seed=spec.seed, trace=bool(output.get("trace")),
     )
     red_cfg = from_section(
         ReduceConfig, cfg.get("reduce", {}), "reduce", ("alpha", "sigma_scale"),
         alpha=run_cfg.alpha, sigma_scale=run_cfg.rescale_factor,
     )
-    output = dict(cfg.get("output", {}))
-    if output.get("trace") and not run_cfg.trace:
-        raise ConfigError("output.trace: run.trace is false, so no trace is recorded")
     return spec, run_cfg, red_cfg, output
 
 
@@ -98,8 +97,10 @@ def run_experiment(config: dict, outliers: np.ndarray | None = None) -> Report:
 
     start = time.perf_counter()
     points, mask, true_mean = gen_instance(spec, outliers)
-    counts = TreeCounts()
-    hyps, trace = list_decode_mean(points, run_cfg, inlier_mask=mask, observer=counts)
+    trace = TraceRecorder(points, mask) if run_cfg.trace else None
+    hyps, stats = list_decode_mean(points, run_cfg, observer=trace)
+    if len(hyps) == 0 and alpha_good(points, mask, run_cfg):
+        raise RuntimeError("no hypothesis produced on a verified good input")
     reduced = reduce_list(hyps, red_cfg)
 
     full_eval = evaluate(hyps, true_mean) if len(hyps) else {}
@@ -110,20 +111,20 @@ def run_experiment(config: dict, outliers: np.ndarray | None = None) -> Report:
         config=_config_echo(spec, run_cfg, red_cfg),
         list_size=len(hyps),
         reduced_list_size=len(reduced),
-        iterations=counts.passes,
-        branches=counts.branches,
+        iterations=stats.passes,
+        branches=stats.branches,
         min_error=full_eval.get("min_error"),
         best_index=full_eval.get("best_index"),
         reduced_min_error=red_eval.get("min_error"),
         reduction_radius=red_cfg.radius,
         wall_time_s=wall,
-        trace_summary=counts.summary(),
+        trace_summary=stats.summary(),
     )
 
     if output.get("report"):
         write_json(report.to_dict(), output["report"])
-    if output.get("trace"):
-        write_trace_csv(output["trace"], trace)
+    if trace is not None:
+        write_trace_csv(output["trace"], trace.events)
     if output.get("hypotheses"):
         save_hypotheses_json(
             output["hypotheses"],
@@ -161,9 +162,9 @@ def run_sweep(config: dict) -> list[Report]:
         outliers = load_outliers(spec)
 
     def one(seed: int) -> Report:
-        sub = json.loads(json.dumps({k: v for k, v in config.items() if k != "seeds"}))
-        sub.setdefault("instance", {})["seed"] = seed
-        out = sub.get("output", {})
+        sub = {k: v for k, v in config.items() if k != "seeds"}
+        sub["instance"] = dict(config["instance"], seed=seed)
+        sub["output"] = out = dict(config.get("output", {}))
         for key, path in list(out.items()):
             if path:
                 p = Path(path)

@@ -77,8 +77,8 @@ class InstanceSpec:
                     f"needs d >= {self.decoys}, got d={self.d}"
                 )
             check_positive("separation", self.separation)
-        if self.adversary == "uniform_noise" and not self.noise_radius > 0.0:
-            raise ConfigError(f"noise_radius: must be positive, got {self.noise_radius}")
+        if self.adversary == "uniform_noise":
+            check_positive("noise_radius", self.noise_radius)
         if self.adversary == "file" and not self.outlier_file:
             raise ConfigError("outlier_file: required for the file adversary")
         if self.true_mean is not None:

@@ -70,7 +70,9 @@ class MultifilterOutcome:
     rows: tuple[np.ndarray, ...] = ()
 
 
-def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float | None = None) -> np.ndarray:
+def _ascending(projections, w: WeightFn, order, alpha: float | None = None) -> tuple:
+    """The checked projections and their weights in ascending order, and
+    that order: ``order`` as given, or an argsort when it is None."""
     p = np.asarray(projections, dtype=np.float64)
     if p.ndim != 1 or p.shape != w.weights.shape:
         raise ValueError("projections and weights must have matching length")
@@ -78,7 +80,9 @@ def _check_inputs(projections: np.ndarray, w: WeightFn, alpha: float | None = No
         raise ValueError("weight function has zero total mass")
     if alpha is not None:
         check_alpha(alpha)
-    return p
+    if order is None:
+        order = np.argsort(p)
+    return p[order], w.weights[order], order
 
 
 def _rows(order: np.ndarray | slice, at: slice) -> np.ndarray | slice:
@@ -113,12 +117,8 @@ def quantile_interval(
     without it the function sorts for itself. The same holds for every
     function of this module that takes ``order``.
     """
-    p = _check_inputs(projections, w, alpha)
+    vals, wts, _ = _ascending(projections, w, order, alpha)
     tau = alpha * w.total / 8.0
-
-    if order is None:
-        order = np.argsort(p)
-    vals, wts = p[order], w.weights[order]
     # Twice the rows the trim takes at equal weights, to start.
     start = 16 + int(len(wts) * alpha / 4.0)
     ja = _within(wts, tau, start)
@@ -162,10 +162,7 @@ def truncated_variance(
     one binary search per end; only that run is read, and under unit
     weights its total is its length. ``order`` is as for quantile_interval.
     """
-    p = _check_inputs(projections, w)
-    if order is None:
-        order = np.argsort(p)
-    vals, wts = p[order], w.weights[order]
+    vals, wts, _ = _ascending(projections, w, order)
     i0 = int(np.searchsorted(vals, window[0], side="left"))
     i1 = int(np.searchsorted(vals, window[1], side="right"))
     vals, wts = vals[i0:i1], wts[i0:i1]
@@ -204,13 +201,10 @@ def soft_downweight(
         ValueError: a > b, or every supported point lies inside [a, b],
             where 1 - f/f_max would be 0/0.
     """
-    p = _check_inputs(projections, w)
+    vals, wts, order = _ascending(projections, w, order)
     a, b = interval
     if not a <= b:
         raise ValueError(f"interval needs a <= b, got [{a}, {b}]")
-    if order is None:
-        order = np.argsort(p)
-    vals, wts = p[order], w.weights[order]
     ia = int(np.searchsorted(vals, a, side="left"))
     ib = int(np.searchsorted(vals, b, side="right"))
     below = a - vals[:ia]
@@ -285,10 +279,7 @@ def find_split(
     ``slice(None)``, since its projections ascend. The chosen split is
     re-checked on the realized halves, each a run of the ascending order.
     """
-    p = _check_inputs(projections, w, alpha)
-    if order is None:
-        order = np.argsort(p)
-    vals, wts = p[order], w.weights[order]
+    vals, wts, _ = _ascending(projections, w, order, alpha)
     grid = _cut_grid(vals, wts, w.unit)
     if grid is None:
         return None

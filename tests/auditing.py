@@ -1,12 +1,14 @@
 """Shared instrumentation for driver runs.
 
-run_audited wraps list_decode_mean with an observer that re-verifies, at
-every processed branch: certificate soundness, both split conditions from
-the raw weights, pointwise weight monotonicity, progress (a positive weight
-zeroed per child), the depth bound, the frontier potential, and that every
-branch carries one positive weight per row of its support. Branches are
-support-local; the audit scatters their weights to full length. Violations
-are collected as strings so a test can assert the list is empty.
+run_audited wraps list_decode_mean with the trace observer and an observer
+that re-verifies, at every processed branch: certificate soundness, both
+split conditions from the raw weights, pointwise weight monotonicity,
+progress (a positive weight zeroed per child), the depth bound, the
+frontier potential, and that every branch carries one positive weight per
+row of its support. Branches are support-local; the audit scatters their
+weights to full length. Violations are collected as strings so a test can
+assert the list is empty. Given an inlier mask that passes the library's
+goodness check, an empty list raises.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 
 from ldme import (
     RunConfig,
+    TraceRecorder,
     WeightFn,
+    alpha_good,
     list_decode_mean,
     preprocess_rescale,
 )
@@ -67,8 +71,11 @@ def scatter(weights, rows, n: int) -> np.ndarray:
 
 
 def run_audited(points, cfg: RunConfig, inlier_mask=None):
-    """Run list_decode_mean under a full invariant audit."""
+    """Run list_decode_mean under a full invariant audit; returns the
+    hypotheses, the trace events (with inlier masses when a mask is given)
+    and the audit."""
     audit = RunAudit()
+    trace = TraceRecorder(points, inlier_mask)
     ps = preprocess_rescale(np.asarray(points, dtype=float), cfg)
     n = ps.n
     lg = math.log2(2.0 / cfg.alpha)
@@ -79,6 +86,7 @@ def run_audited(points, cfg: RunConfig, inlier_mask=None):
     done_sq = 0.0
 
     def observer(step) -> None:
+        trace(step)
         branch = step.branch
         res = step.result
         w = WeightFn(scatter(branch.weights, branch.rows, n))
@@ -144,10 +152,10 @@ def run_audited(points, cfg: RunConfig, inlier_mask=None):
                 f"frontier potential {potential} exceeds n^2 = {n * n}"
             )
 
-    hyps, trace = list_decode_mean(
-        points, cfg, inlier_mask=inlier_mask, observer=observer
-    )
-    return hyps, trace, audit
+    hyps, _ = list_decode_mean(points, cfg, observer=observer)
+    if inlier_mask is not None and len(hyps) == 0 and alpha_good(points, inlier_mask, cfg):
+        raise RuntimeError("no hypothesis produced on a verified good input")
+    return hyps, trace.events, audit
 
 
 def children_of(trace):

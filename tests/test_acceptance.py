@@ -22,6 +22,7 @@ from ldme import (
     ReduceConfig,
     RunConfig,
     WeightFn,
+    alpha_good,
     approx_top_eigenpair,
     find_split,
     gen_instance,
@@ -63,13 +64,6 @@ class DriverRun:
     errors: list = field(default_factory=list)
 
 
-def _alpha_good(points, mask, cfg) -> bool:
-    sub = np.asarray(points, dtype=float)[mask] / cfg.rescale_factor
-    centered = sub - sub.mean(axis=0)
-    top = float(np.linalg.svd(centered, compute_uv=False)[0])
-    return top * top / len(sub) <= 1.0
-
-
 def _run(spec: InstanceSpec, cfg: RunConfig) -> DriverRun:
     pts, mask, mu = gen_instance(spec)
     errors = []
@@ -87,7 +81,7 @@ def _run(spec: InstanceSpec, cfg: RunConfig) -> DriverRun:
         audit=audit,
         true_mean=mu,
         s_size=int(mask.sum()),
-        alpha_good=_alpha_good(pts, mask, cfg),
+        alpha_good=alpha_good(pts, mask, cfg),
         errors=errors,
     )
 

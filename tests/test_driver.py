@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ldme.driver
+import ldme.report
 import ldme.wdata
 from ldme import (
     BranchState,
@@ -12,6 +13,8 @@ from ldme import (
     InfeasibleSplit,
     PointSet,
     RunConfig,
+    RunStats,
+    TraceRecorder,
     WeightFn,
     basic_multifilter,
     gen_instance,
@@ -21,6 +24,7 @@ from ldme import (
     postprocess_unscale,
     preprocess_rescale,
     quantile_interval,
+    run_experiment,
     weighted_mean,
 )
 from auditing import eigenvalue_bound, run_audited, scatter
@@ -81,6 +85,15 @@ class TestRescale:
         out = postprocess_unscale(HypothesisList(np.zeros((0, 3))), cfg, np.ones(3))
         assert len(out) == 0
 
+    def test_empty_list_repr_gives_d(self):
+        # Every empty answer of list_decode_mean has shape (0, d): here
+        # every branch of a cloud far wider than sigma is pruned.
+        pts = np.random.default_rng(0).normal(size=(1000, 3)) * 1e150
+        hyps, stats = list_decode_mean(pts, RunConfig(alpha=0.1))
+        assert len(hyps) == 0 and stats.by_tag["pruned"] >= 1
+        assert repr(hyps) == "HypothesisList(size=0, d=3)"
+        assert repr(HypothesisList([[1.0, 2.0]])) == "HypothesisList(size=1, d=2)"
+
     def test_round_trip(self):
         rng = np.random.default_rng(40)
         cfg = RunConfig(alpha=0.1, sigma=3.7)
@@ -140,8 +153,8 @@ class TestListDecodeMean:
         center = np.array([3.0, -1.0, 2.0, 0.5, 4.0])
         pts = center + rng.normal(size=(400, 5))
         cfg = RunConfig(alpha=0.3, seed=5)
-        hyps, trace = list_decode_mean(pts, cfg)
-        assert len(hyps) == 1
+        hyps, stats = list_decode_mean(pts, cfg)
+        assert len(hyps) == 1 and stats.summary()["by_tag"] == {"certified": 1}
         sample_mean = pts.mean(axis=0)
         assert np.linalg.norm(hyps[0] - sample_mean) < 1e-9
         assert np.linalg.norm(hyps[0] - center) < 0.5
@@ -167,11 +180,12 @@ class TestListDecodeMean:
         )
         pts, mask, mu = gen_instance(spec)
         cfg = RunConfig(alpha=alpha, seed=9)
-        hyps, trace = list_decode_mean(pts, cfg, inlier_mask=mask)
+        trace = TraceRecorder(pts, mask)
+        hyps, _ = list_decode_mean(pts, cfg, observer=trace)
         assert 1 <= len(hyps) <= 4 / alpha**2
         # every planted center (true and decoys) is close to some hypothesis
         budget = 10 * math.log2(2 / alpha) / math.sqrt(alpha)
-        axis_events = [ev for ev in trace if ev.tag == "certified"]
+        axis_events = [ev for ev in trace.events if ev.tag == "certified"]
         assert axis_events
         inlier_pts = pts[mask]
         assert min_error_naive(hyps.vectors, inlier_pts.mean(axis=0)) <= budget
@@ -183,35 +197,45 @@ class TestListDecodeMean:
         )
         pts, mask, _ = gen_instance(spec)
         cfg = RunConfig(alpha=0.25, seed=11)
-        h1, t1 = list_decode_mean(pts, cfg, inlier_mask=mask)
-        h2, t2 = list_decode_mean(pts, cfg, inlier_mask=mask)
+        runs = []
+        for _ in range(2):
+            trace = TraceRecorder(pts, mask)
+            runs.append(list_decode_mean(pts, cfg, observer=trace) + (trace.events,))
+        (h1, s1, t1), (h2, s2, t2) = runs
         np.testing.assert_array_equal(h1.vectors, h2.vectors)
-        assert t1 == t2
+        assert s1 == s2 and t1 == t2
 
     def test_trace_disabled(self):
-        cfg = RunConfig(alpha=0.3, seed=0, trace=False)
-        rng = np.random.default_rng(0)
-        _, trace = list_decode_mean(rng.normal(size=(50, 3)), cfg)
-        assert trace == []
+        # The estimator reads neither cfg.trace nor cfg.seed: the answer
+        # and the run's counts are the same for any of their values.
+        pts = np.random.default_rng(0).normal(size=(50, 3))
+        want, stats = list_decode_mean(pts, RunConfig(alpha=0.3))
+        assert isinstance(stats, RunStats) and stats.passes >= 1
+        for seed, trace in [(0, True), (7, False), (7, True)]:
+            got, got_stats = list_decode_mean(pts, RunConfig(alpha=0.3, seed=seed, trace=trace))
+            np.testing.assert_array_equal(got.vectors, want.vectors)
+            assert got_stats == stats
 
-    def test_untraced_run_sums_no_inlier_mass(self, monkeypatch):
-        # The inlier masses only feed trace events; with tracing off the
-        # mask costs no per-pass sums and leaves the answer as it was.
-        spec = InstanceSpec(
-            n=400, d=5, alpha=0.3, adversary="line_clusters", decoys=2,
-            separation=300.0, seed=13,
-        )
-        pts, mask, _ = gen_instance(spec)
-        want, _ = list_decode_mean(pts, RunConfig(alpha=0.3, seed=13), inlier_mask=mask)
+    def test_untraced_run_sums_no_inlier_mass(self, monkeypatch, tmp_path):
+        # The inlier masses only feed trace events: an experiment that
+        # writes no trace file records no trace and sums no inlier mass,
+        # and its answer is the traced run's.
+        config = {
+            "instance": dict(n=400, d=5, alpha=0.3, adversary="line_clusters", decoys=2,
+                             separation=300.0, seed=13),
+            "output": {"hypotheses": str(tmp_path / "hyps.json")},
+        }
         sums = []
-        inlier_mass = ldme.driver._inlier_mass
+        inlier_mass = ldme.report._inlier_mass
         monkeypatch.setattr(
-            ldme.driver, "_inlier_mass", lambda *a: sums.append(a) or inlier_mass(*a)
+            ldme.report, "_inlier_mass", lambda *a: sums.append(a) or inlier_mass(*a)
         )
-        cfg = RunConfig(alpha=0.3, seed=13, trace=False)
-        hyps, trace = list_decode_mean(pts, cfg, inlier_mask=mask)
-        assert trace == [] and sums == []
-        np.testing.assert_array_equal(hyps.vectors, want.vectors)
+        run_experiment(config)
+        assert sums == []
+        want = (tmp_path / "hyps.json").read_bytes()
+        config["output"]["trace"] = str(tmp_path / "trace.csv")
+        run_experiment(config)
+        assert sums and (tmp_path / "hyps.json").read_bytes() == want
 
     def test_inlier_mass_tracked(self):
         spec = InstanceSpec(
@@ -220,9 +244,10 @@ class TestListDecodeMean:
         )
         pts, mask, _ = gen_instance(spec)
         cfg = RunConfig(alpha=0.3, seed=13)
-        _, trace = list_decode_mean(pts, cfg, inlier_mask=mask)
-        assert trace
-        for ev in trace:
+        trace = TraceRecorder(pts, mask)
+        list_decode_mean(pts, cfg, observer=trace)
+        assert trace.events
+        for ev in trace.events:
             assert ev.wS_before is not None and ev.wS_after is not None
             assert ev.wS_before <= ev.wT_before + 1e-9
             assert ev.wS_after <= ev.wT_after + 1e-9
@@ -242,8 +267,8 @@ class TestListDecodeMean:
 
     def test_audited_invariants_hold_in_1d(self):
         # 1-D branches are runs of the sorted column; the auditor's set,
-        # rebuilt by preprocess_rescale, is that column, and the inlier
-        # mask is permuted with it.
+        # rebuilt by preprocess_rescale, is that column, and the trace
+        # reads the inlier mask in its order.
         spec = InstanceSpec(
             n=3000, d=1, alpha=0.2, adversary="line_clusters", decoys=4,
             separation=300.0, mean_radius=5.0, seed=19,
@@ -257,7 +282,7 @@ class TestListDecodeMean:
         assert trace[0].wS_before == mask.sum()
         # Each row keeps its mask entry: shuffled rows give the same masses.
         perm = np.random.default_rng(20).permutation(len(pts))
-        shuffled = list_decode_mean(pts[perm], cfg, inlier_mask=mask[perm])[1]
+        shuffled = run_audited(pts[perm], cfg, inlier_mask=mask[perm])[1]
         assert [ev.tag for ev in shuffled] == [ev.tag for ev in trace]
         np.testing.assert_allclose(
             [ev.wS_after for ev in shuffled], [ev.wS_after for ev in trace], rtol=1e-9
@@ -271,7 +296,7 @@ class TestListDecodeMean:
             separation=600.0, seed=3,
         )
         pts, _, _ = gen_instance(spec)
-        cfg = RunConfig(alpha=0.1, trace=False)
+        cfg = RunConfig(alpha=0.1)
 
         def certified_lambdas(offset):
             steps = []
@@ -293,7 +318,7 @@ class TestListDecodeMean:
         pts, _, _ = gen_instance(
             InstanceSpec(n=4000, d=10, alpha=0.1, adversary="line_clusters", seed=3)
         )
-        cfg = RunConfig(alpha=0.1, trace=False)
+        cfg = RunConfig(alpha=0.1)
         want, _ = list_decode_mean(pts, cfg)
         shifted = pts + offset
         own = float(np.abs(shifted - offset - pts).max())
@@ -321,9 +346,9 @@ class TestListDecodeMean:
             assert peak <= 1.1 * copy, (dtype, peak / copy)
 
     def test_mask_shape_validated(self):
-        cfg = RunConfig(alpha=0.3)
-        with pytest.raises(ValueError):
-            list_decode_mean(np.zeros((5, 2)), cfg, inlier_mask=np.ones(4, dtype=bool))
+        # The estimator takes no mask; the trace observer checks the one it reads.
+        with pytest.raises(ValueError, match="inlier mask has shape"):
+            TraceRecorder(np.zeros((5, 2)), np.ones(4, dtype=bool))
 
     def test_infeasible_split_carries_lineage(self):
         # Flat noise spread wide enough to trip the gate but too thin-tailed
@@ -334,9 +359,9 @@ class TestListDecodeMean:
             n=400, d=8, alpha=0.25, adversary="uniform_noise",
             noise_radius=300.0, mean_radius=5.0, seed=2,
         )
-        pts, mask, _ = gen_instance(spec)
+        pts, _, _ = gen_instance(spec)
         with pytest.raises(InfeasibleSplit) as exc:
-            list_decode_mean(pts, RunConfig(alpha=0.25, seed=2), inlier_mask=mask)
+            list_decode_mean(pts, RunConfig(alpha=0.25, seed=2))
         assert "lineage" in exc.value.details and "depth" in exc.value.details
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3])
@@ -351,7 +376,7 @@ class TestListDecodeMean:
         )
         pts, mask, mu = gen_instance(spec)
         cfg = RunConfig(alpha=alpha, seed=29)
-        hyps, trace = list_decode_mean(pts, cfg, inlier_mask=mask)
+        hyps, trace, _ = run_audited(pts, cfg, inlier_mask=mask)
         s_size = int(mask.sum())
         budget = 10 * math.log2(2 / alpha) / math.sqrt(alpha)
         certified = [ev for ev in trace if ev.tag == "certified"]
@@ -386,7 +411,7 @@ class TestSupportLocalPass:
         rng = np.random.default_rng(31)
         junk = rng.choice(np.flatnonzero(~mask), 27, replace=False)
         pts[junk] = rng.uniform(-5000.0, 5000.0, (27, 8))
-        cfg = RunConfig(alpha=0.1, trace=False)
+        cfg = RunConfig(alpha=0.1)
         ps = preprocess_rescale(pts, cfg)
         steps = []
         list_decode_mean(pts, cfg, observer=steps.append)
@@ -426,9 +451,9 @@ class TestSupportLocalPass:
         junk = rng.choice(np.flatnonzero(~mask), 14, replace=False)
         pts[junk] = rng.uniform(-5000.0, 5000.0, (14, 4))
         steps = []
-        list_decode_mean(pts, RunConfig(alpha=0.1, trace=False), observer=steps.append)
+        list_decode_mean(pts, RunConfig(alpha=0.1), observer=steps.append)
         list_decode_mean(
-            junk_instance(1500, 1, seed=3), RunConfig(alpha=0.2, trace=False),
+            junk_instance(1500, 1, seed=3), RunConfig(alpha=0.2),
             observer=steps.append,
         )
         cases = [(st.branch, st.result) for st in steps]
@@ -513,12 +538,12 @@ class TestSortedBranches:
 
     @pytest.mark.parametrize("d", [1, 6])
     def test_one_sort_per_run_in_1d_and_per_pass_otherwise(self, monkeypatch, d):
-        # In 1-D the one sort sorts the values, or argsorts them when an
-        # inlier mask must follow its rows. Otherwise every pass that does
-        # not certify from its eigenvalue sorts once, and one that does
-        # never sorts.
+        # In 1-D the one sort sorts the values; a trace with an inlier mask
+        # argsorts the input column once to read the mask in that order.
+        # Otherwise every pass that does not certify from its eigenvalue
+        # sorts once, and one that does never sorts.
         pts = junk_instance(4000, d, seed=51)
-        cfg = RunConfig(alpha=0.2, trace=False)
+        cfg = RunConfig(alpha=0.2)
         sorts = counted_sorts(monkeypatch)
         steps = []
         list_decode_mean(pts, cfg, observer=steps.append)
@@ -530,15 +555,15 @@ class TestSortedBranches:
         if d == 1:
             sorts.clear()
             mask = np.zeros(len(pts), dtype=bool)
-            list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), inlier_mask=mask)
-            assert sorts == ["argsort"]
+            list_decode_mean(pts, cfg, observer=TraceRecorder(pts, mask))
+            assert sorts == ["argsort", "sort"]
 
     def test_1d_rows_in_ascending_order_are_never_sorted(self, monkeypatch):
         # The root's projections already ascend, so even its pass sorts
         # nothing. Rounding makes ties, which count as ascending.
         pts = np.round(junk_instance(4000, 1, seed=51), 1)
         assert len(np.unique(pts)) < 0.8 * len(pts)
-        cfg = RunConfig(alpha=0.2, trace=False)
+        cfg = RunConfig(alpha=0.2)
         want = sorted_rows(list_decode_mean(pts, cfg)[0].vectors)
         ascending = pts[np.argsort(pts[:, 0])]
         sorts = counted_sorts(monkeypatch)
@@ -553,7 +578,7 @@ class TestSortedBranches:
     def test_branches_past_the_root_hold_only_their_support(self, d):
         pts = junk_instance(4000, d, seed=52)
         steps = []
-        list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), observer=steps.append)
+        list_decode_mean(pts, RunConfig(alpha=0.2), observer=steps.append)
         assert steps[0].branch.rows is None and len(steps) >= 10
         children = [c for st in steps for c in st.result.children + st.result.pruned]
         for branch in [st.branch for st in steps[1:]] + children:
@@ -566,7 +591,7 @@ class TestSortedBranches:
 
     def test_reweighted_children_drop_only_ends_of_the_order(self):
         pts = junk_instance(4000, 1, seed=53)
-        cfg = RunConfig(alpha=0.2, trace=False)
+        cfg = RunConfig(alpha=0.2)
         ps = preprocess_rescale(pts, cfg)
         steps = []
         list_decode_mean(pts, cfg, observer=steps.append)
@@ -598,7 +623,7 @@ class TestSortedBranches:
         rng = np.random.default_rng(7)
         centers = np.array([[0.0, 0.0], [0.0, 300.0], [2000.0, 0.0], [2000.0, 300.0]])
         pts = np.vstack([c + rng.normal(size=(300, 2)) for c in centers])
-        cfg = RunConfig(alpha=0.2, trace=False)
+        cfg = RunConfig(alpha=0.2)
         ps = preprocess_rescale(pts, cfg)
         v = ldme.driver.approx_top_eigenpair(ps, WeightFn(np.ones(ps.n))).direction
         ascending = pts[np.argsort(ps.points @ v)]
@@ -625,7 +650,7 @@ class TestSortedBranches:
             ldme.driver, "approx_top_eigenpair", lambda ps, w: seen.append(ps) or eigenpair(ps, w)
         )
         steps = []
-        list_decode_mean(pts, RunConfig(alpha=0.2, trace=False), observer=steps.append)
+        list_decode_mean(pts, RunConfig(alpha=0.2), observer=steps.append)
         assert gathers == [] and len(steps) == len(seen) >= 10
         root = seen[0].points
         assert not root.flags.writeable and (np.diff(root[:, 0]) >= 0.0).all()
@@ -644,7 +669,7 @@ class TestMeanReuse:
     @pytest.mark.parametrize("d", [1, 6])
     def test_one_mean_per_pass_and_the_same_bits(self, monkeypatch, d):
         pts = junk_instance(4000, d, seed=51)
-        cfg = RunConfig(alpha=0.2, trace=False)
+        cfg = RunConfig(alpha=0.2)
         ps = preprocess_rescale(pts, cfg)
         means = []
         for module in (ldme.wdata, ldme.driver):
@@ -678,7 +703,7 @@ def test_row_permutation_keeps_hypothesis_set(adversary):
         separation=500.0, mean_radius=10.0, seed=37,
     )
     pts, _, _ = gen_instance(spec)
-    cfg = RunConfig(alpha=0.15, trace=False)
+    cfg = RunConfig(alpha=0.15)
     perm = np.random.default_rng(38).permutation(len(pts))
     want = sorted_rows(list_decode_mean(pts, cfg)[0].vectors)
     got = sorted_rows(list_decode_mean(pts[perm], cfg)[0].vectors)
@@ -691,7 +716,7 @@ def test_split_children_of_a_unit_branch_are_unit(d):
     # A split of unit weights keeps unit weights on both halves, built as
     # ones whose total is the half's length; the root is unit too.
     steps = []
-    list_decode_mean(junk_instance(4000, d, seed=52), RunConfig(alpha=0.2, trace=False),
+    list_decode_mean(junk_instance(4000, d, seed=52), RunConfig(alpha=0.2),
                      observer=steps.append)
     assert steps[0].branch.weights.unit
     splits = [
@@ -726,7 +751,7 @@ def test_rotated_input_gives_rotated_hypotheses(name):
     # the rotated run can process its branches, and list their means, in
     # another order.
     pts, alpha = rotation_case(name)
-    cfg = RunConfig(alpha=alpha, trace=False)
+    cfg = RunConfig(alpha=alpha)
     want = list_decode_mean(pts, cfg)[0].vectors
     assert len(want) >= 2
     tol = 1e-12 * float(np.abs(pts).max())

@@ -8,10 +8,12 @@ import pytest
 import ldme.experiment
 import ldme.instances
 from ldme import (
+    HypothesisList,
     InfeasibleSplit,
     InstanceSpec,
     ReduceConfig,
     RunConfig,
+    RunStats,
     gen_instance,
     load_points,
     run_experiment,
@@ -89,6 +91,24 @@ class TestRunExperiment:
         assert echo["n"] == 60 and type(echo["n"]) is int
         assert echo["seed"] == 3 and type(echo["seed"]) is int
 
+    def test_empty_list_on_a_verified_good_input_raises(self, tmp_path, monkeypatch):
+        # The planted inliers pass the goodness check, so an empty list is
+        # a defect: the run raises before it writes anything. Inliers wider
+        # than the run's sigma fail the check, and their empty list is a
+        # report.
+        def empty(points, cfg, observer=None):
+            return HypothesisList(np.zeros((0, points.shape[1]))), RunStats()
+
+        monkeypatch.setattr(ldme.experiment, "list_decode_mean", empty)
+        cfg = smoke_config(tmp_path, report="report.json")
+        with pytest.raises(RuntimeError, match="no hypothesis produced on a verified good input"):
+            run_experiment(cfg)
+        assert not (tmp_path / "report.json").exists()
+        cfg["instance"]["sigma"] = 10.0
+        report = run_experiment(cfg)
+        assert cfg["run"]["sigma"] == 1.0
+        assert report.list_size == 0 and report.min_error is None
+
     def test_out_of_range_alpha_rejected(self, tmp_path):
         cfg = smoke_config(tmp_path)
         cfg["instance"]["alpha"] = 0.6
@@ -111,6 +131,22 @@ class TestRunExperiment:
         cfg = smoke_config(tmp_path)
         cfg["instance"]["n"] = 120
         assert len(run_sweep(cfg)) == 1
+
+    def test_sweep_takes_numpy_integers(self, tmp_path):
+        # Each seed's copy of the config keeps its numpy values, and its
+        # report is a lone run's of that seed.
+        cfg = {
+            "instance": {"n": np.int64(60), "d": 2, "alpha": 0.3, "seed": 3},
+            "output": {"report": str(tmp_path / "report.json")},
+            "seeds": [np.int64(1), 2],
+        }
+        reports = run_sweep(cfg)
+        assert cfg["instance"]["seed"] == 3 and cfg["output"]["report"].endswith("report.json")
+        for seed, report in zip([1, 2], reports):
+            lone = run_experiment({"instance": dict(cfg["instance"], seed=seed)})
+            assert report_bytes(report) == report_bytes(lone)
+            written = json.loads((tmp_path / f"report_seed{seed}.json").read_text())
+            assert written["config"]["instance"]["seed"] == seed
 
     def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
         from ldme import ConfigError
@@ -344,7 +380,9 @@ class TestCli:
         ids=["config", "flag", "sweep"],
     )
     def test_trace_file_without_run_trace_exits_2(self, tmp_path, capsys, seeds, flags):
-        # A run that records no trace would leave a header-only trace file.
+        # A trace is recorded exactly when a trace file is asked for, so
+        # run.trace is no setting: beside a trace file it exits 2 before
+        # anything is written.
         cfg = smoke_config(tmp_path, report="report.json", hypotheses="hyps.json")
         cfg["run"]["trace"] = False
         if seeds:
@@ -356,8 +394,18 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["experiment", "--config", str(path)] + flags) == 2
-        assert "config error: output.trace" in capsys.readouterr().err
+        assert "config error: trace: set by another section" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_run_trace_exits_2(self, tmp_path, capsys, value):
+        cfg = smoke_config(tmp_path, report="report.json")
+        cfg["run"]["trace"] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert "config error: trace: set by another section, not by run" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("section, field", [("run", "big_c"), ("reduce", "sep_const")])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, section, field):
@@ -373,10 +421,11 @@ class TestCli:
         [("seed", "seven"), ("seed", True), ("seed", 7.0), ("trace", "false"), ("trace", 1)],
     )
     def test_wrongly_typed_seed_or_trace_exits_2(self, tmp_path, capsys, field, value):
-        # The seed is an instance field, and the trace flag a run field.
+        # The seed is an instance field. trace is no run field: whether a
+        # trace file is asked for sets it, so any run.trace exits 2.
         section, message = {
             "seed": ("instance", "seed: must be an integer"),
-            "trace": ("run", "run: trace: must be true or false"),
+            "trace": ("run", "trace: set by another section, not by run"),
         }[field]
         cfg = smoke_config(tmp_path, trace="trace.csv", report="report.json")
         cfg[section][field] = value

@@ -28,6 +28,8 @@ class TestSpecValidation:
             InstanceSpec(n=10, d=2, alpha=0.3, decoys=5)  # simplex needs d >= k
         with pytest.raises(ConfigError, match="outlier_file"):
             InstanceSpec(n=10, d=2, alpha=0.3, adversary="file")
+        with pytest.raises(ConfigError, match="noise_radius: must be positive"):
+            InstanceSpec(n=10, d=2, alpha=0.3, adversary="uniform_noise", noise_radius=0.0)
 
     @pytest.mark.parametrize("mean", ["random_sphere(7.5)", "huh"])
     def test_from_dict_refuses_a_string_mean(self, tmp_path, capsys, mean):

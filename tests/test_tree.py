@@ -1,6 +1,6 @@
 """The search tree as the driver's per-pass records describe it.
 
-The trace, the observer's steps and the report's counts are three views of
+The trace, the observer's steps and the run's counts are three views of
 one record per processed branch. These tests pin the trace and report
 bytes, check that the counts do not depend on whether a trace is recorded,
 and check the tree's shape on small drawn instances.
@@ -22,7 +22,7 @@ from ldme import (
     InfeasibleSplit,
     InstanceSpec,
     RunConfig,
-    TreeCounts,
+    TraceRecorder,
     gen_instance,
     list_decode_mean,
     run_experiment,
@@ -101,16 +101,17 @@ def pinned_input(instance: dict, junk: int):
     return points, mask, true_mean
 
 
-def pinned_report(instance: dict, junk: int, trace: bool = True):
+def pinned_report(instance: dict, junk: int, trace_path=None):
     """run_experiment on fresh inliers around the same mean beside the
-    pinned instance's outlier rows, passed in as the file adversary's."""
+    pinned instance's outlier rows, passed in as the file adversary's; it
+    writes a trace file when trace_path is given."""
     points, mask, true_mean = pinned_input(instance, junk)
     config = {
         "instance": dict(
             instance, adversary="file", outlier_file="outliers.csv",
             true_mean=true_mean.tolist(),
         ),
-        "run": {"trace": trace},
+        "output": {"trace": str(trace_path)} if trace_path else {},
     }
     return run_experiment(config, points[~mask])
 
@@ -122,10 +123,11 @@ def test_trace_and_report_bytes_are_pinned(name, tmp_path):
     cfg = RunConfig(alpha=instance["alpha"], seed=instance["seed"])
     got = []
     for inlier_mask in (mask, None):
-        _, trace = list_decode_mean(points, cfg, inlier_mask=inlier_mask)
-        write_trace_csv(tmp_path / "trace.csv", trace)
+        trace = TraceRecorder(points, inlier_mask)
+        list_decode_mean(points, cfg, observer=trace)
+        write_trace_csv(tmp_path / "trace.csv", trace.events)
         got.append(_sha((tmp_path / "trace.csv").read_bytes()))
-    report = pinned_report(instance, junk)
+    report = pinned_report(instance, junk, tmp_path / "report_trace.csv")
     got.append(_sha(report_bytes(report)))
     assert tuple(got) == want
 
@@ -166,10 +168,11 @@ def test_benchmark_answers_are_pinned(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_report_counts_do_not_need_the_trace(name):
+def test_report_counts_do_not_need_the_trace(name, tmp_path):
     instance, junk, _ = PINNED[name]
-    on = pinned_report(instance, junk, trace=True)
-    off = pinned_report(instance, junk, trace=False)
+    on = pinned_report(instance, junk, tmp_path / "trace.csv")
+    off = pinned_report(instance, junk)
+    assert on.config["run"]["trace"] and not off.config["run"]["trace"]
     assert (off.iterations, off.branches) == (on.iterations, on.branches)
     assert off.trace_summary == on.trace_summary
     assert on.trace_summary["events"] >= on.iterations >= 1
@@ -201,16 +204,17 @@ def test_tree_shape_matches_its_records(instance):
     pts, alpha = instance
     cfg = RunConfig(alpha=alpha, sigma=0.5)
     steps = []
-    counts = TreeCounts()
+    recorder = TraceRecorder(pts)
 
     def observer(step):
         steps.append(step)
-        counts(step)
+        recorder(step)
 
     try:
-        hyps, trace = list_decode_mean(pts, cfg, observer=observer)
+        hyps, counts = list_decode_mean(pts, cfg, observer=observer)
     except InfeasibleSplit:
         return
+    trace = recorder.events
     processed = [step.branch_id for step in steps]
     assert len(set(processed)) == len(processed)
     created = [i for step in steps for i in step.child_ids + step.pruned_ids]
