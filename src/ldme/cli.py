@@ -21,7 +21,7 @@ from .dataio import (
     write_json,
 )
 from .driver import HypothesisList, list_decode_mean
-from .experiment import load_config, run_experiment, run_sweep
+from .experiment import check_sections, load_config, run_experiment, run_sweep
 from .instances import InstanceSpec, gen_instance
 from .listreduce import ReduceConfig, reduce_list
 from .multifilter import InfeasibleSplit
@@ -116,7 +116,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_synth(args) -> int:
     raw = load_config(args.config) if args.config else {}
-    raw = raw.get("instance", raw)
+    # A whole config gives its instance section; a bare instance object is one.
+    if not isinstance(raw, dict) or "instance" in raw:
+        raw = check_sections(raw)["instance"]
     spec = InstanceSpec.from_dict({**raw, **_given(args, SYNTH_FLAGS)})
     points, mask, mean = gen_instance(spec)
     if args.format == "bin":
@@ -131,7 +133,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
+    cfg = check_sections(load_config(args.config))
     # The instance's seed is the run's; big_c is the run's alone.
     for key, val in _given(args, EXPERIMENT_FLAGS).items():
         if key != "seed":

@@ -2,7 +2,8 @@
 
 CSV: one point per row, comma-separated decimal floats, no header.
 Binary: magic "LDME", then u32 n, u32 d, then n*d little-endian float64
-values in row-major order. A points file with no points is refused.
+values in row-major order. A points file with no points is refused, and
+load_points refuses one with a non-finite value too.
 Hypotheses: {"vectors": [[...], ...]} plus optional metadata.
 """
 
@@ -83,9 +84,10 @@ def load_points(path) -> np.ndarray:
     p = Path(path)
     with open(p, "rb") as fh:
         head = fh.read(4)
-    if head == MAGIC:
-        return load_points_binary(p)
-    return load_points_csv(p)
+    pts = load_points_binary(p) if head == MAGIC else load_points_csv(p)
+    if not np.isfinite(pts).all():
+        raise DataFormatError(f"{path}: points must have finite coordinates")
+    return pts
 
 
 def save_hypotheses_json(path, vectors, extra: dict | None = None) -> None:

@@ -20,6 +20,8 @@ import numpy as np
 
 from .config import RunConfig
 from .multifilter import InfeasibleSplit, MultifilterOutcome, basic_multifilter
+# weighted_mean is not called here: perfbench/recorder.py looks the name up
+# in this module to time "wdata.mean", until it reads pass records instead.
 from .wdata import EigenPair, PointSet, WeightFn, approx_top_eigenpair, weighted_mean
 
 @dataclass(frozen=True)
@@ -27,16 +29,17 @@ class BranchState:
     """One live node of the search tree: positive weights on its support.
 
     rows holds the support's rows of the centered, rescaled PointSet and
-    weights one positive weight per row; rows=None stands for every row, as
-    at the root. Past the root the rows ascend along the parent's direction:
-    a slice, a run read as a view, below every pass that did not sort (so
-    always in 1-D, where the column ascends), else an index array. lineage
-    holds the tags of the passes from the root down; depth is its length.
+    weights one positive weight per row. The root's rows are the run of
+    every row, slice(0, n). Past the root the rows ascend along the
+    parent's direction: a slice, a run read as a view, below every pass
+    that did not sort (so always in 1-D, where the column ascends), else an
+    index array. lineage holds the tags of the passes from the root down;
+    depth is its length.
     """
 
     weights: WeightFn
     lineage: tuple[str, ...]
-    rows: np.ndarray | slice | None = None
+    rows: np.ndarray | slice
 
     @property
     def depth(self) -> int:
@@ -72,9 +75,9 @@ class HypothesisList:
 
 @dataclass(frozen=True)
 class SubroutineResult:
-    """Outcome of processing one branch."""
+    """Outcome of processing one branch. A certified branch's hypothesis
+    is eigenpair.mean."""
 
-    hypothesis: np.ndarray | None
     children: tuple[BranchState, ...]
     pruned: tuple[BranchState, ...]
     outcome: MultifilterOutcome
@@ -150,23 +153,20 @@ def postprocess_unscale(
 def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> SubroutineResult:
     """Process one branch: eigendirection, filtering pass, prune children.
 
-    The pass runs on the rows of ps at branch.rows: a view of a run, else
-    gathered (the root, with rows=None, uses ps as it is), so it scales with
-    |supp|, not n. A zero weight (the driver builds none) goes to the pass
-    like an underflowed one. The filter sorts the projections unless they
-    ascend (always so in 1-D), and the children keep that order: each
+    The pass runs on ps.restrict(branch.rows): a view of a run (the root's
+    run of every row is ps itself), else the rows gathered, so it scales
+    with |supp|, not n. A zero weight (the driver builds none) goes to the
+    pass like an underflowed one. The filter sorts the projections unless
+    they ascend (always so in 1-D), and the children keep that order: each
     carries its own support's rows and weights, as the filter found them.
 
-    On a certified pass the weighted mean of the branch's support (in the
-    rescaled coordinates of ps; for d > 1 the eigenpair's) is returned as
-    the hypothesis. Otherwise the surviving children are those with total
-    mass >= alpha*n/2.
+    A certified pass has no children: its hypothesis is the eigenpair's
+    mean, the weighted mean of the branch's support in the rescaled
+    coordinates of ps. Otherwise the surviving children are those with
+    total mass >= alpha*n/2.
     """
-    rows, w = branch.rows, branch.weights
-    if isinstance(rows, slice):
-        sub_ps = PointSet._over(ps.points[rows])
-    else:
-        sub_ps = ps if rows is None else ps.restrict(rows)
+    w = branch.weights
+    sub_ps = ps.restrict(branch.rows)
     eig = approx_top_eigenpair(sub_ps, w)
     try:
         outcome = basic_multifilter(sub_ps, w, eig.direction, cfg, _eigenvalue=eig.value)
@@ -175,29 +175,27 @@ def main_subroutine(ps: PointSet, branch: BranchState, cfg: RunConfig) -> Subrou
         err.details["depth"] = branch.depth
         raise
     if outcome.tag == "certified":
-        mean = weighted_mean(sub_ps, w) if eig.mean is None else eig.mean
-        return SubroutineResult(mean, (), (), outcome, eig)
+        return SubroutineResult((), (), outcome, eig)
     floor = cfg.alpha * ps.n / 2.0
     lineage = branch.lineage + (outcome.tag,)
     children = [
-        BranchState(wf, lineage, _child_rows(rows, at))
+        BranchState(wf, lineage, _child_rows(branch.rows, at))
         for wf, at in zip(outcome.children, outcome.rows)
     ]
     kept = tuple(child for child in children if child.weights.total >= floor)
     pruned = tuple(child for child in children if not child.weights.total >= floor)
-    return SubroutineResult(None, kept, pruned, outcome, eig)
+    return SubroutineResult(kept, pruned, outcome, eig)
 
 
-def _child_rows(rows: np.ndarray | slice | None, at: np.ndarray | slice):
+def _child_rows(rows: np.ndarray | slice, at: np.ndarray | slice):
     """A child's rows of ps, from its rows ``at`` of the pass's point set: an
-    index array, or a slice when the pass did not sort. rows=None stands for
-    every row in order. A run of a run is a run; an index array is fresh."""
+    index array, or a slice when the pass did not sort. A run of a run is a
+    run; an index array is fresh."""
     if isinstance(rows, np.ndarray):
         return rows[at].copy() if isinstance(at, slice) else rows[at]
-    base = 0 if rows is None else rows.start
     if isinstance(at, slice):
-        return slice(base + at.start, base + at.stop)
-    return at + base if base else at
+        return slice(rows.start + at.start, rows.start + at.stop)
+    return at + rows.start if rows.start else at
 
 
 def list_decode_mean(
@@ -210,18 +208,13 @@ def list_decode_mean(
     Centers the input on its column mean and rescales it by SCALE_C *
     sigma, runs the FIFO worklist to exhaustion starting from all-ones
     weights, and returns every certified weighted mean mapped back to the
-    input coordinates. The output list has at most 4/alpha^2 entries.
-    Deterministic for a fixed (points, cfg).
+    input coordinates, with the run's RunStats. The output list has at
+    most 4/alpha^2 entries. Deterministic for a fixed (points, cfg), where
+    points is an (n, d) array and cfg.alpha the assumed inlier fraction.
 
-    Args:
-        points: (n, d) array of samples.
-        cfg: run configuration; cfg.alpha is the assumed inlier fraction.
-        observer: optional callback invoked with the DriverStep of each
-            processed branch, in processing order; it must not mutate
-            anything. The trace is one such observer (report.TraceRecorder).
-
-    Returns:
-        (HypothesisList, RunStats).
+    observer, if given, is called with the DriverStep of each processed
+    branch, in processing order, and must not mutate anything. The trace is
+    one such observer (report.TraceRecorder).
     """
     ps = preprocess_rescale(points, cfg)
     n = ps.n
@@ -229,7 +222,7 @@ def list_decode_mean(
     hypotheses: list[np.ndarray] = []
     stats = RunStats()
 
-    root = BranchState(weights=WeightFn._ones(n), lineage=())
+    root = BranchState(weights=WeightFn._ones(n), lineage=(), rows=slice(0, n))
     queue: deque[tuple[int, int, BranchState]] = deque([(0, -1, root)])
     next_id = 1
     # Worst-case tree size is n splits deep over at most ceil(4/alpha^2)
@@ -247,8 +240,8 @@ def list_decode_mean(
         next_id += len(ids)
         kept = len(result.children)
         step = DriverStep(branch_id, parent_id, ids[:kept], ids[kept:], branch, result)
-        if result.hypothesis is not None:
-            hypotheses.append(result.hypothesis)
+        if result.outcome.tag == "certified":
+            hypotheses.append(result.eigenpair.mean)
         queue.extend(zip(step.child_ids, repeat(branch_id), result.children))
         stats.record(step)
         if observer is not None:

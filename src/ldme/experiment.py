@@ -6,6 +6,7 @@ A config is one JSON object with sections:
     reduce:   sep_const (alpha and sigma_scale come from run)
     output:   report / trace / hypotheses file paths (all optional)
     seeds:    optional distinct seeds to fan out over (LDME_THREADS workers)
+and no other key.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ _SECTIONS = {"instance": dict, "run": dict, "reduce": dict, "output": dict, "see
 
 
 def check_sections(cfg) -> dict:
-    """cfg, refused with a ConfigError unless it is a JSON object whose
-    sections are objects, whose output values are paths (an empty one
-    writes no file) and whose seeds, if any, are distinct integers >= 0."""
+    """cfg, refused with a ConfigError unless it is a JSON object of known
+    sections, which are objects, whose output values are paths (an empty
+    one writes no file) and whose seeds, if any, are distinct integers >= 0."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: top level must be a JSON object")
+    for key in cfg:
+        if key not in _SECTIONS:
+            raise ConfigError(f"{key}: unknown config section")
     for key, kind in _SECTIONS.items():
         if not isinstance(cfg.get(key, kind()), kind):
             shape = "an object" if kind is dict else "a list"
@@ -52,9 +56,10 @@ def check_sections(cfg) -> dict:
     return cfg
 
 
-def load_config(path) -> dict:
+def load_config(path):
+    """The JSON value in the file at path, unchecked: see check_sections."""
     with open(path) as fh:
-        return check_sections(json.load(fh))
+        return json.load(fh)
 
 
 def parse_config(cfg: dict) -> tuple[InstanceSpec, RunConfig, ReduceConfig, dict]:

@@ -129,10 +129,8 @@ def _equidistant_centers(base: np.ndarray, k: int, sep: float, d: int) -> np.nda
 
 
 def load_outliers(spec: InstanceSpec) -> np.ndarray:
-    """Read the file adversary's rows once, as a read-only array.
-
-    A seed sweep shares the result across seeds and worker threads.
-    """
+    """Read the file adversary's rows once, as a read-only array that a
+    seed sweep shares across seeds and worker threads."""
     outliers = load_points(spec.outlier_file)
     outliers.setflags(write=False)
     return outliers
@@ -141,17 +139,13 @@ def load_outliers(spec: InstanceSpec) -> np.ndarray:
 def gen_instance(
     spec: InstanceSpec, outliers: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Generate one instance. Deterministic for a fixed spec (incl. seed).
+    """One instance as (points, inlier_mask, true_mean): an (n, d) array, a
+    boolean mask of the ceil(alpha*n) planted inliers, and the inlier
+    distribution mean. Deterministic for a fixed spec (incl. seed).
 
-    Args:
-        spec: the instance to draw.
-        outliers: the file adversary's rows when already read (see
-            load_outliers); read from spec.outlier_file when None. Ignored
-            by the other adversaries.
-
-    Returns:
-        (points, inlier_mask, true_mean): an (n, d) array, a boolean mask of
-        the ceil(alpha*n) planted inliers, and the inlier distribution mean.
+    outliers are the file adversary's rows when already read (see
+    load_outliers), else read from spec.outlier_file; the other adversaries
+    ignore them.
     """
     rng = np.random.default_rng(spec.seed)
     if spec.true_mean is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, check_alpha
-from .wdata import PointSet, WeightFn, _variance, project, weighted_variance
+from .wdata import PointSet, WeightFn, _mean_variance, project, weighted_variance
 
 # Candidates per block of the split search: every temporary of the search is
 # this long, whatever the support's size.
@@ -169,7 +169,7 @@ def truncated_variance(
     total = float(i1 - i0) if w.unit else float(wts.sum())
     if total <= 0.0:
         raise ValueError("no weight inside the window")
-    return _variance(vals, wts, total)
+    return _mean_variance(vals, wts, total)[1]
 
 
 def soft_downweight(

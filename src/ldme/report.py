@@ -76,10 +76,7 @@ def in_row_order(points, per_row: np.ndarray) -> np.ndarray:
 
 
 def _inlier_mass(branch: BranchState, mask: np.ndarray | None) -> float | None:
-    if mask is None:
-        return None
-    w = branch.weights.weights
-    return float((w[mask] if branch.rows is None else w[mask[branch.rows]]).sum())
+    return None if mask is None else float(branch.weights.weights[mask[branch.rows]].sum())
 
 
 def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]:
@@ -92,7 +89,7 @@ def _trace_events(step: DriverStep, mask: np.ndarray | None) -> list[TraceEvent]
     res, parent = step.result, step.branch
     lam, wS_before = res.eigenpair.value, _inlier_mass(parent, mask)
     # Each event: its branch id, its parent id, tag, the branch after.
-    if res.hypothesis is not None:
+    if res.outcome.tag == "certified":
         events = [(step.branch_id, step.parent_id, "certified", parent)]
     else:
         tags = (res.outcome.tag,) * len(res.children) + ("pruned",) * len(res.pruned)

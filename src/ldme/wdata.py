@@ -50,7 +50,7 @@ class PointSet:
     ``center`` is None, or the point, in the input's coordinates, that was
     subtracted from every row before scaling: the driver's set, built by
     ``_centered``, has its column mean there, so its rows' mean is zero up
-    to rounding. A subset from ``restrict`` is not centered and has None.
+    to rounding. A proper subset from ``restrict`` has None.
     """
 
     __slots__ = ("points", "n", "d", "center")
@@ -93,12 +93,15 @@ class PointSet:
         self.n, self.d = pts.shape
         self.center = center
 
-    def restrict(self, rows: np.ndarray) -> "PointSet":
-        """The rows at the given integer indices, in that order, as a PointSet.
-
-        A boolean mask is refused: ``np.take`` would read it as indices 0 and 1.
-        The subset is not centered: its center is None.
+    def restrict(self, rows: np.ndarray | slice) -> "PointSet":
+        """The rows at the given integer indices, in that order, or the run
+        at a slice, as a PointSet: a run is a read-only view, and the run of
+        every row the set itself. A boolean mask is refused, as ``np.take``
+        would read it as indices 0 and 1.
         """
+        if isinstance(rows, slice):
+            whole = rows.indices(self.n) == (0, self.n, 1)
+            return self if whole else PointSet._over(self.points[rows])
         rows = np.asarray(rows)
         if rows.dtype == bool:
             raise TypeError("restrict takes row indices, not a boolean mask")
@@ -176,12 +179,12 @@ class EigenPair:
 
     ``value`` equals the Rayleigh quotient of ``direction`` against the
     weighted covariance, clipped at 0 from below. ``mean`` is the
-    ``weighted_mean`` it was centered on, None in 1-D (no covariance).
+    ``weighted_mean`` it was centered on, the same bits in every d.
     """
 
     value: float
     direction: np.ndarray
-    mean: np.ndarray | None = None
+    mean: np.ndarray
 
 
 def _check_unit(v: np.ndarray, d: int) -> np.ndarray:
@@ -211,12 +214,16 @@ def project(ps: PointSet, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", ps.points, v)
 
 
-def weighted_mean(ps: PointSet, w: WeightFn) -> np.ndarray:
-    """Mean of the points under w, (1/w(T)) * sum_x w(x) x."""
+def _check_mass(ps: PointSet, w: WeightFn) -> None:
     if len(w) != ps.n:
         raise ValueError(f"weight length {len(w)} does not match n={ps.n}")
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
+
+
+def weighted_mean(ps: PointSet, w: WeightFn) -> np.ndarray:
+    """Mean of the points under w, (1/w(T)) * sum_x w(x) x."""
+    _check_mass(ps, w)
     return (w.weights @ ps.points) / w.total
 
 
@@ -227,15 +234,16 @@ def weighted_variance(values: np.ndarray, w: WeightFn) -> float:
         raise ValueError("values and weights must have matching length")
     if w.total <= 0.0:
         raise ValueError("weight function has zero total mass")
-    return _variance(values, w.weights, w.total)
+    return _mean_variance(values, w.weights, w.total)[1]
 
 
-def _variance(vals: np.ndarray, wts: np.ndarray, total: float) -> float:
-    """The two-pass weighted variance of vals under wts, whose sum is total."""
+def _mean_variance(vals: np.ndarray, wts: np.ndarray, total: float) -> tuple[float, float]:
+    """The weighted mean (the first pass, weighted_mean's bits) and the
+    two-pass weighted variance of vals under wts, whose sum is total."""
     mean = float(wts @ vals) / total
     dev = vals - mean
     dev *= dev
-    return float(wts @ dev) / total
+    return mean, float(wts @ dev) / total
 
 
 def _weighted_cov(ps: PointSet, w: WeightFn, mu: np.ndarray) -> np.ndarray:
@@ -275,21 +283,18 @@ def approx_top_eigenpair(ps: PointSet, w: WeightFn) -> EigenPair:
     choice. Deterministic. O(n d^2 + d^3); the driver passes only a
     branch's supported rows.
 
-    In 1-D there is nothing to solve: the direction is [1.0] and the value
+    In 1-D there is nothing to solve: the direction is [1.0], the value
     the weighted variance of the one coordinate, a two-pass sum over the
-    rows in their order, O(n). It can differ from the 1 x 1
-    covariance's entry in the last bits.
+    rows in their order, O(n), and the mean that sum's first pass. The
+    value can differ from the 1 x 1 covariance's entry in the last bits.
 
-    Args:
-        ps: the point set.
-        w: weights with positive total mass.
-
-    Returns:
-        EigenPair with value max(v'Cov v, 0) and mean mu. When the
-        covariance is zero the value is 0 and the direction arbitrary.
+    w must have positive total mass. The value is max(v'Cov v, 0); when the
+    covariance is zero it is 0 and the direction arbitrary.
     """
     if ps.d == 1:
-        return EigenPair(value=weighted_variance(ps.points[:, 0], w), direction=np.ones(1))
+        _check_mass(ps, w)
+        mean, value = _mean_variance(ps.points[:, 0], w.weights, w.total)
+        return EigenPair(value=value, direction=np.ones(1), mean=np.array([mean]))
     mu = weighted_mean(ps, w)
     cov = _weighted_cov(ps, w, mu)
     v = np.linalg.eigh(cov)[1][:, -1].copy()

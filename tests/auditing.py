@@ -62,9 +62,7 @@ def eigenvalue_bound(alpha: float, big_c: float) -> float:
 
 def scatter(weights, rows, n: int) -> np.ndarray:
     """Support-local weights as a length-n array, zero off the given rows
-    (an index array or a slice); rows=None stands for all n rows in order."""
-    if rows is None:
-        return weights.weights
+    (an index array or a slice)."""
     full = np.zeros(n)
     full[rows] = weights.weights
     return full
@@ -95,7 +93,7 @@ def run_audited(points, cfg: RunConfig, inlier_mask=None):
         if branch.depth > n:
             audit.violations.append(f"depth {branch.depth} exceeds n={n}")
         for b in (branch,) + res.children + res.pruned:
-            size = n if b.rows is None else len(np.arange(n)[b.rows])
+            size = len(np.arange(n)[b.rows])
             if len(b.weights) != size or not (b.weights.weights > 0.0).all():
                 audit.violations.append("branch weights are not positive on its rows")
 

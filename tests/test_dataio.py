@@ -14,6 +14,7 @@ from ldme import (
     save_points_binary,
     save_points_csv,
 )
+from ldme.cli import main
 
 
 def test_csv_round_trip(tmp_path):
@@ -121,3 +122,19 @@ def test_binary_without_points_raises(tmp_path, n, d):
     path.write_bytes(b"LDME" + struct.pack("<II", n, d))
     with pytest.raises(DataFormatError, match="no points"):
         load_points(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_non_finite_points_raise_and_exit_4(tmp_path, capsys, fmt, bad):
+    # As for a hypotheses file, a non-finite value is a data error, not a
+    # config error: the CLI exits 4 before estimating anything.
+    pts = np.arange(12.0).reshape(6, 2)
+    pts[3, 1] = bad
+    path = tmp_path / f"pts.{fmt}"
+    (save_points_csv if fmt == "csv" else save_points_binary)(path, pts)
+    with pytest.raises(DataFormatError, match="finite"):
+        load_points(path)
+    out = tmp_path / "hyps.json"
+    assert main(["estimate", "--input", str(path), "--alpha", "0.3", "--out", str(out)]) == 4
+    assert "ldme: data error: " in capsys.readouterr().err and not out.exists()

@@ -104,7 +104,7 @@ class TestRescale:
 
 
 def branch_of(n):
-    return BranchState(weights=WeightFn(np.ones(n)), lineage=())
+    return BranchState(weights=WeightFn(np.ones(n)), lineage=(), rows=slice(0, n))
 
 
 class TestMainSubroutine:
@@ -114,9 +114,9 @@ class TestMainSubroutine:
         cfg = RunConfig(alpha=0.3, sigma=0.5)
         ps = preprocess_rescale(pts, cfg)
         res = main_subroutine(ps, branch_of(200), cfg)
-        assert res.hypothesis is not None
+        assert res.outcome.tag == "certified" and res.children == res.pruned == ()
         np.testing.assert_allclose(
-            res.hypothesis, weighted_mean(ps, WeightFn(np.ones(200))), atol=1e-6
+            res.eigenpair.mean, weighted_mean(ps, WeightFn(np.ones(200))), atol=1e-6
         )
 
     def test_two_far_clusters_give_two_children(self):
@@ -127,7 +127,7 @@ class TestMainSubroutine:
         cfg = RunConfig(alpha=0.2, sigma=0.5)
         ps = preprocess_rescale(pts, cfg)
         res = main_subroutine(ps, branch_of(100), cfg)
-        assert res.hypothesis is None
+        assert res.outcome.tag == "split"
         assert len(res.children) == 2
         totals = sorted(child.weights.total for child in res.children)
         assert totals == [50.0, 50.0]
@@ -140,7 +140,7 @@ class TestMainSubroutine:
         cfg = RunConfig(alpha=0.45, sigma=0.5)
         ps = preprocess_rescale(pts, cfg)
         res = main_subroutine(ps, branch_of(100), cfg)
-        assert res.hypothesis is None
+        assert res.outcome.tag == "split"
         assert len(res.children) == 1
         assert len(res.pruned) == 1
         assert res.pruned[0].weights.total < 0.45 * 100 / 2.0
@@ -396,8 +396,8 @@ def sorted_rows(vectors):
 
 def row_indices(rows, n):
     """A branch's rows of the driver's n-row set as an index array, whether
-    they are None (every row), a slice (a run) or an index array."""
-    return np.arange(n) if rows is None else np.arange(n)[rows]
+    they are a slice (a run) or an index array."""
+    return np.arange(n)[rows]
 
 
 class TestSupportLocalPass:
@@ -464,7 +464,7 @@ class TestSupportLocalPass:
         cases.append((root, main_subroutine(PointSet(cloud), root, cfg)))
         seen = set()
         for branch, res in cases:
-            form = "all" if branch.rows is None else type(branch.rows).__name__
+            form = "all" if branch.depth == 0 else type(branch.rows).__name__
             children = res.children + res.pruned
             if children:
                 seen.add((res.outcome.tag, form))
@@ -494,7 +494,7 @@ class TestSupportLocalPass:
         cfg = RunConfig(alpha=0.25)
         ps = preprocess_rescale(np.vstack([pts, pts + 1e4]), cfg)
         branch = BranchState(
-            weights=WeightFn(np.r_[np.ones(400), np.zeros(400)]), lineage=()
+            weights=WeightFn(np.r_[np.ones(400), np.zeros(400)]), lineage=(), rows=slice(0, 800)
         )
         with pytest.raises(InfeasibleSplit) as exc:
             main_subroutine(ps, branch, cfg)
@@ -579,7 +579,7 @@ class TestSortedBranches:
         pts = junk_instance(4000, d, seed=52)
         steps = []
         list_decode_mean(pts, RunConfig(alpha=0.2), observer=steps.append)
-        assert steps[0].branch.rows is None and len(steps) >= 10
+        assert steps[0].branch.rows == slice(0, len(pts)) and len(steps) >= 10
         children = [c for st in steps for c in st.result.children + st.result.pruned]
         for branch in [st.branch for st in steps[1:]] + children:
             w = branch.weights.weights
@@ -638,12 +638,12 @@ class TestSortedBranches:
         np.testing.assert_allclose(sorted_rows(got.vectors), want, rtol=0.0, atol=1e-9 * 2000)
 
     def test_1d_passes_read_views_of_the_root_column(self, monkeypatch):
-        # Past the sort in preprocessing, a 1-D run gathers no rows: each
-        # pass reads a read-only view of the root's column.
+        # Past the sort in preprocessing, a 1-D run gathers no rows: the
+        # root's pass reads the root set itself, and every other pass a
+        # read-only view of its column.
         pts = junk_instance(4000, 1, seed=54)
         gathers = []
         monkeypatch.setattr(np, "take", lambda *a, **k: gathers.append("take"))
-        monkeypatch.setattr(PointSet, "restrict", lambda *a: gathers.append("restrict"))
         seen = []
         eigenpair = ldme.driver.approx_top_eigenpair
         monkeypatch.setattr(
@@ -653,8 +653,9 @@ class TestSortedBranches:
         list_decode_mean(pts, RunConfig(alpha=0.2), observer=steps.append)
         assert gathers == [] and len(steps) == len(seen) >= 10
         root = seen[0].points
+        assert seen[0].center is not None and steps[0].branch.rows == slice(0, len(pts))
         assert not root.flags.writeable and (np.diff(root[:, 0]) >= 0.0).all()
-        for step, ps in zip(steps[1:], seen[1:]):
+        for step, ps in zip(steps, seen):
             rows = step.branch.rows
             assert isinstance(rows, slice) and ps.n == rows.stop - rows.start
             assert np.shares_memory(ps.points, root) and not ps.points.flags.writeable
@@ -662,9 +663,9 @@ class TestSortedBranches:
 
 
 class TestMeanReuse:
-    """For d > 1 a pass takes its branch's weighted mean once, to center
-    the covariance, and a certified branch's hypothesis is that mean. In
-    1-D no covariance is formed, and the driver takes the mean itself."""
+    """A pass takes its branch's weighted mean once: for d > 1 to center
+    the covariance, in 1-D as the first sum of the two-pass variance. A
+    certified branch's hypothesis is that mean, eigenpair.mean."""
 
     @pytest.mark.parametrize("d", [1, 6])
     def test_one_mean_per_pass_and_the_same_bits(self, monkeypatch, d):
@@ -677,23 +678,16 @@ class TestMeanReuse:
                 module, "weighted_mean", lambda p, w: means.append(p) or weighted_mean(p, w)
             )
         steps = []
-        list_decode_mean(pts, cfg, observer=steps.append)
-        certified = [st for st in steps if st.result.hypothesis is not None]
+        hyps = list_decode_mean(pts, cfg, observer=steps.append)[0]
+        certified = [st for st in steps if st.result.outcome.tag == "certified"]
         assert len(certified) >= 2 and len(steps) >= 10
-        assert len(means) == (len(steps) if d > 1 else len(certified))
+        assert len(means) == (len(steps) if d > 1 else 0)
         for step in certified:
-            rows, mean = step.branch.rows, step.result.eigenpair.mean
-            if rows is None:
-                sub = ps
-            elif isinstance(rows, slice):
-                sub = PointSet._over(ps.points[rows])
-            else:
-                sub = ps.restrict(rows)
-            want = weighted_mean(sub, step.branch.weights)
-            assert step.result.hypothesis.tobytes() == want.tobytes()
-            assert (mean is None) == (d == 1)
-            if d > 1:
-                assert mean is step.result.hypothesis
+            want = weighted_mean(ps.restrict(step.branch.rows), step.branch.weights)
+            assert step.result.eigenpair.mean.tobytes() == want.tobytes()
+        # The hypotheses are those means, in processing order, mapped back.
+        raw = HypothesisList([st.result.eigenpair.mean for st in certified])
+        assert hyps.vectors.tobytes() == postprocess_unscale(raw, cfg, ps.center).vectors.tobytes()
 
 
 @pytest.mark.parametrize("adversary", ["line_clusters", "decoy_clusters"])

@@ -8,6 +8,7 @@ import pytest
 import ldme.experiment
 import ldme.instances
 from ldme import (
+    ConfigError,
     HypothesisList,
     InfeasibleSplit,
     InstanceSpec,
@@ -470,6 +471,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert "ldme: config error: " in captured.err and not captured.out
         assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("key", ["outputs", "runn"])
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, key):
+        # A misspelled section is refused, not ignored: "outputs" would
+        # write no report, and "runn" would run with the defaults.
+        cfg = smoke_config(tmp_path)
+        cfg[key] = {"report": str(tmp_path / "r.json")} if key == "outputs" else {"big_c": 5.0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for command in ("experiment", "synth"):
+            argv = [command, "--config", str(bad)]
+            if command == "synth":
+                argv += ["--out", str(tmp_path / "points.csv")]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert f"ldme: config error: {key}: unknown config section" in captured.err
+            assert not captured.out and list(tmp_path.iterdir()) == [bad]
+        with pytest.raises(ConfigError, match=f"^{key}: unknown config section$"):
+            run_experiment(cfg)
+
+    def test_synth_takes_a_bare_instance_object(self, tmp_path, capsys):
+        # synth reads an instance section, or a bare object that is one.
+        cfg = json.loads(SMOKE.read_text())
+        for name, raw in (("bare", cfg["instance"]), ("whole", cfg)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+            argv = ["synth", "--config", str(tmp_path / f"{name}.json")]
+            assert main(argv + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        # A bare object is read as an instance section, so a section in it is unknown.
+        (tmp_path / "mixed.json").write_text(json.dumps({**cfg["instance"], "run": {}}))
+        argv = ["synth", "--config", str(tmp_path / "mixed.json")]
+        assert main(argv + ["--out", str(tmp_path / "mixed.csv")]) == 2
+        assert "ldme: config error: run: unknown instance field" in capsys.readouterr().err
+        assert not (tmp_path / "mixed.csv").exists()
 
     @pytest.mark.parametrize(
         "section, key, value, message",

@@ -251,6 +251,19 @@ class TestProject:
             ps.restrict(np.array([True, False, True, False, True]))
         np.testing.assert_array_equal(ps.restrict(np.array([4, 0])).points, [[8, 9], [0, 1]])
 
+    def test_restrict_to_a_run_is_a_read_only_view(self):
+        # A run gathers nothing: its points are the set's rows, in place.
+        ps = preprocess_rescale(np.arange(30.0).reshape(10, 3), RunConfig(alpha=0.3))
+        sub = ps.restrict(slice(2, 7))
+        assert sub.n == 5 and sub.center is None
+        assert np.shares_memory(sub.points, ps.points) and not sub.points.flags.writeable
+        assert sub.points.__array_interface__["data"][0] == ps.points[2:].ctypes.data
+        with pytest.raises(ValueError):
+            sub.points[0, 0] = 1.0
+        # The run of every row is the set itself, its center kept.
+        assert ps.restrict(slice(0, ps.n)) is ps and ps.restrict(slice(None)) is ps
+        assert ps.restrict(slice(0, ps.n - 1)) is not ps
+
     def test_non_unit_raises(self):
         with pytest.raises(ValueError):
             project(PointSet([[1.0, 2.0]]), np.array([1.0, 1.0]))
@@ -442,6 +455,19 @@ class TestApproxTopEigenpair:
             assert eig.value == weighted_variance(vals, WeightFn(wts))
             want = float(dense_weighted_cov(vals[:, None], wts)[0, 0])
             np.testing.assert_allclose(eig.value, want, rtol=1e-9, atol=1e-9 * want + 1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 100_000])
+    def test_one_dimension_mean_is_weighted_means_bits(self, n):
+        # The 1-D pair's mean is the first sum of its variance, with the
+        # bits weighted_mean gives, on a set and on a run of a sorted column.
+        rng = np.random.default_rng(n)
+        col = np.sort(rng.standard_t(3, size=(n + 5, 1)) * 40.0 + 1e3, axis=0)
+        for ps in (PointSet(col[:n]), PointSet(col).restrict(slice(3, n + 3))):
+            for wts in (np.ones(n), rng.uniform(0.01, 1.0, n)):
+                w = WeightFn(wts)
+                eig = approx_top_eigenpair(ps, w)
+                assert eig.mean.shape == (1,) and eig.mean.dtype == np.float64
+                assert eig.mean.tobytes() == weighted_mean(ps, w).tobytes()
 
     def test_identical_points_degenerate(self):
         ps = PointSet(np.tile([2.0, -1.0, 3.0], (7, 1)))
