@@ -18,8 +18,8 @@ from .config import RunConfig, check_alpha
 from .wdata import PointSet, WeightFn, _mean_variance, project, weighted_variance
 
 # Candidates per block of the split search: every temporary of the search is
-# this long, whatever the support's size.
-SPLIT_BLOCK = 1 << 12
+# this long or as long as a block's partner window, whatever the support's size.
+SPLIT_BLOCK = 1 << 7
 # Relative margin of the eigenvalue certificate, for rounding.
 EIGEN_SLACK = 1.0 - 1e-9
 
@@ -265,15 +265,14 @@ def find_split(
     i' >= i, which scores no worse. So family 1 is searched over the prefix
     of i with g1 <= 1/2 and family 2 over the suffix of j with g2 <= 1/2.
 
-    The candidates are scored SPLIT_BLOCK at a time, g1 and g2 formed per
-    block from the prefix sums, so beside the grid of _cut_grid the search
-    holds only block-sized temporaries. Blocks go in ascending order of a
-    lower bound on their scores (_score_floor), which also bounds where each
-    candidate's partner cut can fall; a block where no cut has a partner is
-    not scored at all, and the search stops at the first block whose bound
-    exceeds the best score found. The first minimum wins:
-    within a family the lowest index, and on equal scores family 1 over
-    family 2, as in a scan of family 1 and then family 2.
+    Candidates are scored SPLIT_BLOCK at a time, best bound first: one
+    vectorized pass per family bounds every block's scores (_block_floors),
+    a block whose cuts have no partner is never scored, and the search stops
+    at the first block whose bound exceeds the best score. A scored block
+    forms its own cuts and those of the window its partners fall in
+    (_partners), never lo and hi over the whole support. The first minimum
+    wins: within a family the lowest index, and on equal scores family 1
+    over family 2, as in a scan of family 1 and then family 2.
 
     ``order`` is as for quantile_interval; basic_multifilter passes
     ``slice(None)``, since its projections ascend. The chosen split is
@@ -283,24 +282,28 @@ def find_split(
     grid = _cut_grid(vals, wts, w.unit)
     if grid is None:
         return None
-    prefix, lo, hi = grid
+    u, prefix = grid
     total = float(prefix[-1])
     l48 = 48.0 * np.log2(2.0 / alpha)
 
-    m = len(lo)
+    m = len(u) - 1
     n1 = _first(lambda i: prefix[i] / total > 0.5, m)  # g1 <= 1/2 on [0, n1)
     j0 = _first(lambda j: (total - prefix[j]) / total <= 0.5, m)  # g2 <= 1/2 on [j0, m)
-    blocks = [(1, s, min(s + SPLIT_BLOCK, n1)) for s in range(0, n1, SPLIT_BLOCK)]
-    blocks += [(2, s, min(s + SPLIT_BLOCK, m)) for s in range(j0, m, SPLIT_BLOCK)]
-    grid = (prefix, total, lo, hi, l48)
-    best = (np.inf, 0, 0, None)
+    blocks = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        floors = [(_score_floor(*grid, *b), *b) for b in blocks]
-        # An inf floor (no partner) is dropped: it is not > inf + 1e-9.
-        for floor, *block in sorted(f for f in floors if f[0] < np.inf):
-            if floor > best[0] + 1e-9:
+        for family, first, end in ((1, 0, n1), (2, j0, m)):
+            start = np.arange(first, end, SPLIT_BLOCK)
+            stop = np.minimum(start + SPLIT_BLOCK, end)
+            floor = _block_floors(u, prefix, total, l48, family, start, stop)
+            blocks.append((floor, np.full(len(start), family), start, stop))
+        floor, family, start, stop = (np.concatenate(x) for x in zip(*blocks))
+        grid = (u, prefix, total, 8.0 * np.spacing(max(-u[0], u[-1])), l48)
+        best = (np.inf, 0, 0, None)
+        for k in np.lexsort((start, family, floor)):
+            # An inf floor (no partner) ends the search as a high one does.
+            if floor[k] == np.inf or floor[k] > best[0] + 1e-9:
                 break
-            found = _block_best(*grid, *block)
+            found = _block_best(*grid, *(int(x[k]) for x in (family, start, stop)))
             if found is not None and found[:3] < best[:3]:
                 best = found
     sp = best[3]
@@ -309,48 +312,42 @@ def find_split(
     return sp
 
 
-def _score_floor(
-    prefix: np.ndarray, total: float, lo: np.ndarray, hi: np.ndarray, l48: float,
-    family: int, start: int, stop: int,
-) -> float:
-    """A lower bound on the score of every feasible candidate of a block,
-    or inf when the block has none.
+def _block_floors(
+    u: np.ndarray, prefix: np.ndarray, total: float, l48: float,
+    family: int, start: np.ndarray, stop: np.ndarray,
+) -> np.ndarray:
+    """Lower bounds on the scores of the feasible candidates of the blocks
+    [start, stop) of a family, inf where a block has none.
 
-    Two bounds, of which the larger is returned. First, the lower cut of a
-    candidate lies below its upper cut, so its lost fractions add up to at
-    most 1: a block whose own lost fractions (g1 for family 1, g2 for family
-    2) lie in [a, b] scores at least (1 - b)^2 + a^2; the caller allows 1e-9
-    for rounding. Second, the partner cut: in family 1 every i of the block
-    has lo[i] >= lo[start] and g1[i] <= b, so its upper cut j lies at or
-    right of j* = searchsorted(hi, lo[start] + 2 sqrt(l48/b), "right"), and
-    g2[j] <= g2[j*]; in family 2 every j has hi[j] <= hi[stop-1] and
-    g2[j] <= b, so its lower cut lies at or left of i* = searchsorted(lo,
-    hi[stop-1] - 2 sqrt(l48/b), "left") - 1, and g1[i] <= g1[i*]. Correctly
-    rounded +, -, / and sqrt are monotone, as is searchsorted, so the
-    partner's (1 - g)^2 at j* or i* bounds the block's scores as _block_best
-    computes them, bit for bit. Past the last cut (j* = m, or i* = -1) no
-    candidate of the block has a partner, and the block is skipped.
+    The larger of two bounds. A candidate's lost fractions add up to at most
+    1, so a block whose own fractions (g1 in family 1, g2 in family 2) lie
+    in [a, b] scores at least (1 - b)^2 + a^2; the caller allows 1e-9 for
+    rounding. And the partner, through u alone (see _partners): in family 1
+    every key of the block is at least u[start] + 2 sqrt(l48/b), so every
+    partner j is at least p - 1, p = searchsorted(u, key, "right"), and
+    g2[j] <= g2[p - 1]; in family 2 every key is at most u[stop] - 2
+    sqrt(l48/b), so every partner i is at most q - 1, q = searchsorted(u,
+    key, "left"), and g1[i] <= g1[q - 1]. Rounding and searchsorted are
+    monotone, so this bound holds on the scores as _block_best rounds them.
+    With no cut there (p - 1 = m, or q - 1 = -1) no candidate has a partner.
     """
     if family == 1:
         a, b = prefix[start] / total, prefix[stop - 1] / total
-        j = int(np.searchsorted(hi, lo[start] + 2.0 * np.sqrt(l48 / b), side="right"))
-        if j >= len(lo):
-            return np.inf
-        partner = (total - prefix[j]) / total
+        j = np.searchsorted(u, u[start] + 2.0 * np.sqrt(l48 / b), side="right") - 1
+        none, partner = j >= len(u) - 1, (total - prefix[j]) / total
     else:
         a, b = (total - prefix[stop - 1]) / total, (total - prefix[start]) / total
-        i = int(np.searchsorted(lo, hi[stop - 1] - 2.0 * np.sqrt(l48 / b), side="left")) - 1
-        if i < 0:
-            return np.inf
-        partner = prefix[i] / total
-    # Products, not **: numpy's scalar power can round a square differently
-    # from the array square that _block_best takes.
+        i = np.searchsorted(u, u[stop] - 2.0 * np.sqrt(l48 / b), side="left") - 1
+        # prefix[-1] reads the total where i = -1; that floor is inf anyway.
+        none, partner = i < 0, prefix[i] / total
     own, partner = 1.0 - b, 1.0 - partner
-    return float(own * own + max(a * a, partner * partner))
+    floor = own * own + np.maximum(a * a, partner * partner)
+    floor[none] = np.inf
+    return floor
 
 
 def _block_best(
-    prefix: np.ndarray, total: float, lo: np.ndarray, hi: np.ndarray, l48: float,
+    u: np.ndarray, prefix: np.ndarray, total: float, cap: float, l48: float,
     family: int, start: int, stop: int,
 ) -> tuple | None:
     """The first best feasible candidate of one block of a family, as
@@ -361,32 +358,63 @@ def _block_best(
     i. index is i in family 1 and j in family 2, so comparing these tuples
     keeps the first minimum of a family and prefers family 1 on equal scores.
     """
-    m = len(lo)
+    lo, hi = _cuts(u, cap, start, stop)
     if family == 1:
-        i = np.arange(start, stop)
-        g1 = prefix[start:stop] / total
-        j = np.searchsorted(hi, lo[start:stop] + 2.0 * np.sqrt(l48 / g1), side="right")
+        key = lo + 2.0 * np.sqrt(l48 / (prefix[start:stop] / total))
     else:
-        j = np.arange(start, stop)
-        g2 = (total - prefix[start:stop]) / total
-        i = np.searchsorted(lo, hi[start:stop] - 2.0 * np.sqrt(l48 / g2), side="left") - 1
-    keep = (i >= 0) & (j < m)
+        key = hi - 2.0 * np.sqrt(l48 / ((total - prefix[start:stop]) / total))
+    partner, at, wlo, whi = _partners(u, cap, family, key)
+    own = np.arange(start, stop)
+    i, j = (own, partner) if family == 1 else (partner, own)
+    keep = (i >= 0) & (j < len(u) - 1)
     i, j = i[keep], j[keep]
+    if family == 1:
+        lo_i, hi_i, hi_j = lo[keep], hi[keep], whi[j - at]
+    else:
+        lo_i, hi_i, hi_j = wlo[i - at], whi[i - at], hi[keep]
     g1, g2 = prefix[i] / total, (total - prefix[j]) / total
     score = (1.0 - g1) ** 2 + (1.0 - g2) ** 2
-    keep = score <= 1.0
-    i, j, score = i[keep], j[keep], score[keep]
-    gmin = np.minimum(g1[keep], g2[keep])
+    gmin = np.minimum(g1, g2)
     # hi[i] is the highest usable lower cut in box i.
-    r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi[j] - hi[i]))
-    r_hi = 0.5 * (hi[j] - lo[i])
+    r_lo = np.maximum(np.sqrt(l48 / gmin), 0.5 * (hi_j - hi_i))
+    r_hi = 0.5 * (hi_j - lo_i)
     R = 0.5 * (r_lo + r_hi)
-    ok = (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
+    ok = (score <= 1.0) & (gmin > 0.0) & (r_lo < r_hi) & (gmin >= l48 / (R * R))
     if not ok.any():
         return None
     k = int(np.argmin(np.where(ok, score, np.inf)))
     index = int(i[k] if family == 1 else j[k])
-    return float(score[k]), family, index, SplitParams(t=float(hi[j[k]] - R[k]), R=float(R[k]))
+    return float(score[k]), family, index, SplitParams(t=float(hi_j[k] - R[k]), R=float(R[k]))
+
+
+def _partners(u: np.ndarray, cap: float, family: int, key: np.ndarray) -> tuple:
+    """The partner cut of each key and the window of cuts it was searched
+    in, as (partner, at, lo, hi) with lo, hi the cuts of the gaps from at.
+
+    The partner is searchsorted's over the full cuts: in family 1 the count
+    of hi <= key, in family 2 the count of lo < key less one. As u[k] <=
+    lo[k] and hi[k] <= u[k+1], a key at p = searchsorted(u, key) (side
+    "right" in family 1, "left" in 2) has its partner at p - 1 or p (family
+    1), p - 2 or p - 1 (family 2). The window spans those gaps from the
+    lowest key to the highest, so its count plus ``at`` is the full one.
+    """
+    side = "right" if family == 1 else "left"
+    p0, p1 = np.searchsorted(u, (key.min(), key.max()), side=side).tolist()
+    at = max(p0 - family, 0)
+    lo, hi = _cuts(u, cap, at, min(p1 + 2 - family, len(u) - 1))
+    if family == 1:
+        return np.searchsorted(hi, key, side="right") + at, at, lo, hi
+    return np.searchsorted(lo, key, side="left") + (at - 1), at, lo, hi
+
+
+def _cuts(u: np.ndarray, cap: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The usable cuts lo, hi of the gaps [start, stop) of u, each clear of
+    the values on both sides of its gap by min(gap/4, cap)."""
+    v = u[start : stop + 1]
+    clear = np.diff(v)
+    clear *= 0.25
+    np.minimum(clear, cap, out=clear)
+    return v[:-1] + clear, np.subtract(v[1:], clear, out=clear)
 
 
 def _first(holds, m: int) -> int:
@@ -402,17 +430,14 @@ def _first(holds, m: int) -> int:
 
 
 def _cut_grid(vals: np.ndarray, wts: np.ndarray, unit: bool) -> tuple[np.ndarray, ...] | None:
-    """The arrays find_split searches, or None below two supported values.
+    """The sorted unique supported values u and the prefix sums of their
+    weights (the last entry is the total), or None below two such values.
 
     Takes the values in ascending order with their weights and drops
-    zero-weight entries. Over the sorted unique supported values u it
-    returns the prefix sums of their weights (the last entry is the total)
-    and, over the gaps between them, the usable cuts lo and hi; find_split
-    forms the lost fractions g1 = prefix/total and g2 = (total - prefix)/total
-    per block. Without ties u is the input itself and its weights need no
-    grouping; under unit weights (``unit``) the prefix sums are then the
-    counts 1, 2, ..., the same bits as cumsum. lo and hi are built in
-    place, so the grid is three arrays of the support's size.
+    zero-weight entries. Without ties u is the input itself and its weights
+    need no grouping; under unit weights (``unit``) the prefix sums are then
+    the counts 1, 2, ..., the same bits as cumsum, and the grid is one array
+    of the support's size.
     """
     if not (unit or wts.min() > 0.0):
         supported = wts > 0.0
@@ -424,13 +449,7 @@ def _cut_grid(vals: np.ndarray, wts: np.ndarray, unit: bool) -> tuple[np.ndarray
         starts = np.flatnonzero(np.r_[True, fresh])
         u, prefix = vals[starts], np.add.reduceat(wts, starts)
         np.cumsum(prefix, out=prefix)
-    if len(u) < 2:
-        return None
-    clear = np.diff(u)
-    clear *= 0.25
-    np.minimum(clear, 8.0 * np.spacing(max(-u[0], u[-1])), out=clear)
-    lo = u[:-1] + clear
-    return prefix, lo, np.subtract(u[1:], clear, out=clear)
+    return None if len(u) < 2 else (u, prefix)
 
 
 def _split_holds(

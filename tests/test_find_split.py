@@ -284,12 +284,14 @@ class TestBlockedSearch:
             assert self._winner_facts(vals, wts, 0.2, block) == (True, True)
 
     def test_default_block_size_on_large_supports(self):
-        # Several real blocks per family, with ties and zero weights.
+        # Supports of 20k-60k rows with ties and zero weights: 17k-24k
+        # distinct values, so 135-190 blocks of 128, and partner windows of
+        # up to 2,310 cuts, about 18 blocks.
         rng = np.random.default_rng(37)
         for _ in range(6):
-            n = int(rng.integers(3, 6)) * multifilter.SPLIT_BLOCK * 2
+            n = int(rng.integers(20_000, 60_001))
             centers = rng.normal(size=5) * 200.0
-            vals = np.round(rng.choice(centers, n) + rng.normal(size=n) * 20.0, 1)
+            vals = np.round(rng.choice(centers, n) + rng.normal(size=n) * 20.0, 2)
             wts = rng.integers(0, 65, n) / 64.0
             alpha = float(rng.uniform(0.05, 0.3))
             sp = find_split(vals, WeightFn(wts), alpha)
@@ -297,8 +299,9 @@ class TestBlockedSearch:
             assert (None if sp is None else (sp.t, sp.R)) == want
 
     def test_working_set_is_a_few_support_lengths(self):
-        # On ascending projections the grid holds three support-length
-        # arrays (prefix sums, lo, hi); everything else is block-sized.
+        # On ascending projections without ties the grid is one
+        # support-length array, the prefix sums (u is the input itself);
+        # the rest is a one-byte tie mask and block- and window-sized.
         import tracemalloc
 
         rng = np.random.default_rng(38)
@@ -307,16 +310,87 @@ class TestBlockedSearch:
         vals = rng.choice(centers, n) + rng.normal(size=n) * 25.0
         vals[rng.choice(n, n // 100, replace=False)] = rng.uniform(-5000, 5000, n // 100)
         vals.sort()
-        w = WeightFn(np.ones(n))
-        find_split(vals, w, 0.2, slice(None))  # warm caches and imports
-        tracemalloc.start()
-        try:
-            sp = find_split(vals, w, 0.2, slice(None))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sp is not None
-        assert peak <= 4 * 8 * n, peak / (8 * n)
+        for w in (WeightFn(np.ones(n)), WeightFn(rng.uniform(0.25, 1.0, n))):
+            find_split(vals, w, 0.2, slice(None))  # warm caches and imports
+            tracemalloc.start()
+            try:
+                sp = find_split(vals, w, 0.2, slice(None))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sp is not None
+            assert peak <= 1.5 * 8 * n, (w.unit, peak / (8 * n))
+
+
+class TestPartnerWindow:
+    """A scored block searches its partner cuts over a window of the cuts
+    (multifilter._partners); each partner must be searchsorted's over the
+    full lo and hi, bit for bit, and its cuts must lie in the window."""
+
+    @staticmethod
+    def _supports(rng):
+        for off in (0.0, 1e6, 1e12, 1e15):
+            for _ in range(40):
+                for vals, wts, alpha in (
+                    random_1d_instance(rng), tied_1d_instance(rng, n_max=300),
+                    ulp_gap_instance(rng, max(off, 1.0)),
+                ):
+                    u = np.unique(vals[wts > 0] + off)  # zero weights drop out
+                    if len(u) >= 2:
+                        yield u, np.cumsum(np.ones(len(u))), alpha
+
+    @staticmethod
+    def _keys(rng, u, lo, hi, prefix, l48):
+        """Partner keys of real blocks; runs of the keys on and one ulp
+        beside every value and cut, in the middle and at both ends of the
+        support; and infinite keys."""
+        m = len(lo)
+        g1, g2 = prefix[:-1] / prefix[-1], (prefix[-1] - prefix[:-1]) / prefix[-1]
+        s = int(rng.integers(0, m))
+        e = int(rng.integers(s + 1, m + 1))
+        yield 1, lo[s:e] + 2.0 * np.sqrt(l48 / g1[s:e])
+        with np.errstate(divide="ignore"):
+            yield 2, hi[s:e] - 2.0 * np.sqrt(l48 / g2[s:e])
+        exact = np.concatenate([u, lo, hi])
+        keys = np.sort(np.concatenate([exact, np.nextafter(exact, -np.inf),
+                                       np.nextafter(exact, np.inf)]))
+        k = len(keys)
+        for _ in range(4):
+            s = int(rng.integers(0, k))
+            e = int(rng.integers(s + 1, min(s + 12, k) + 1))
+            for run in (keys[s:e], keys[: e - s], keys[k - (e - s) :]):
+                for family in (1, 2):
+                    yield family, rng.permutation(run)
+        for family in (1, 2):
+            yield family, np.array([-np.inf, u[0], u[-1], np.inf])
+
+    def test_window_search_matches_the_full_search(self):
+        rng = np.random.default_rng(43)
+        decided = {1: [0, 0], 2: [0, 0]}
+        for u, prefix, alpha in self._supports(rng):
+            cap = 8.0 * np.spacing(np.abs(u).max())
+            clear = np.minimum(0.25 * np.diff(u), cap)
+            lo, hi = u[:-1] + clear, u[1:] - clear
+            l48 = 48.0 * np.log2(2.0 / alpha)
+            for family, key in self._keys(rng, u, lo, hi, prefix, l48):
+                partner, at, wlo, whi = multifilter._partners(u, cap, family, key)
+                if family == 1:
+                    want = np.searchsorted(hi, key, side="right")
+                    p = np.searchsorted(u, key, side="right")
+                    decided[1][0] += int(np.sum(want == p - 1))
+                    decided[1][1] += int(np.sum(want == p))
+                else:
+                    want = np.searchsorted(lo, key, side="left") - 1
+                    q = np.searchsorted(u, key, side="left")
+                    decided[2][0] += int(np.sum(want == q - 2))
+                    decided[2][1] += int(np.sum(want == q - 1))
+                assert partner.tobytes() == want.tobytes(), (u, key, family)
+                assert wlo.tobytes() == lo[at : at + len(wlo)].tobytes()
+                assert whi.tobytes() == hi[at : at + len(whi)].tobytes()
+                usable = partner[(partner >= 0) & (partner < len(lo))]
+                assert ((usable >= at) & (usable < at + len(wlo))).all(), (u, key, family)
+        # The gap in doubt went both ways in both families.
+        assert min(decided[1] + decided[2]) >= 1_000, decided
 
 
 class TestScoreFloor:
@@ -326,19 +400,21 @@ class TestScoreFloor:
 
     def test_floor_bounds_every_feasible_candidate(self, monkeypatch):
         rng = np.random.default_rng(39)
-        floor_of = multifilter._score_floor
+        floors_of = multifilter._block_floors
         floors = []
 
-        def recorded(prefix, total, lo, hi, l48, family, start, stop):
-            floor = floor_of(prefix, total, lo, hi, l48, family, start, stop)
+        def recorded(u, prefix, total, l48, family, start, stop):
+            floor = floors_of(u, prefix, total, l48, family, start, stop)
             if family == 1:
                 a, b = prefix[start] / total, prefix[stop - 1] / total
             else:
                 a, b = (total - prefix[stop - 1]) / total, (total - prefix[start]) / total
-            floors.append((family, start, stop, floor, (1.0 - b) * (1.0 - b) + a * a))
+            own = (1.0 - b) * (1.0 - b) + a * a
+            floors.extend(zip([family] * len(start), start.tolist(), stop.tolist(),
+                              floor.tolist(), own.tolist()))
             return floor
 
-        monkeypatch.setattr(multifilter, "_score_floor", recorded)
+        monkeypatch.setattr(multifilter, "_block_floors", recorded)
         blocks = candidates = raised = skipped = 0
         for _ in range(800):
             vals, wts, alpha = tied_1d_instance(rng, n_max=300)
@@ -363,8 +439,10 @@ class TestScoreFloor:
     def test_root_of_a_scalar_junk_shape_scores_two_blocks(self, monkeypatch):
         # The shape of the scalar_junk benchmark: 1-D, alpha = 0.2, five
         # clusters 400 apart, 1% of the outliers moved to far uniform junk.
-        # Its root split lies in two blocks; the own-fraction bound alone
-        # scored nine.
+        # Its root scores two of the 782 blocks of 128 candidates: the
+        # partner bound, taken through the sorted values in one pass per
+        # family, rules out the rest. The own-fraction bound alone scored
+        # 158 blocks of 128 (and 9 of 4096).
         from ldme import RunConfig, instances, preprocess_rescale
         from ldme.instances import InstanceSpec
 
